@@ -15,6 +15,7 @@
  * reported.
  *
  *     ./bench/bench_scaling [out.json]
+ *     ./bench/bench_scaling --help
  */
 
 #include <chrono>
@@ -206,22 +207,71 @@ writeJson(const std::string &path, const std::vector<Entry> &entries)
     out << "\n  ]\n}\n";
 }
 
+constexpr const char *kUsage =
+    "usage: bench_scaling [OUT.json] [--benchmark_out=OUT.json]\n"
+    "                     [--benchmark_out_format=json]\n"
+    "                     [--benchmark_format=console]\n"
+    "Runs the scaling grid once and writes it as google-benchmark\n"
+    "JSON to OUT.json (default: BENCH_scaling.json in the current\n"
+    "directory). Progress goes to stderr. No other option exists.\n";
+
+/** The value of @p arg if it spells @p flag=VALUE, else null. */
+const char *
+flagValue(const char *arg, const char *flag)
+{
+    const std::size_t n = std::strlen(flag);
+    return std::strncmp(arg, flag, n) == 0 && arg[n] == '='
+               ? arg + n + 1
+               : nullptr;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // Accept a bare output path, or the google-benchmark spelling
-    // (--benchmark_out=PATH) so ci/check.sh's bench harness can
-    // drive this binary like the gbench ones; other --benchmark_*
-    // flags are ignored.
+    // Accept a bare output path and the google-benchmark flags
+    // ci/check.sh's bench harness passes, so it can drive this binary
+    // like the gbench ones. Anything else is refused before any work
+    // runs or any file is written: a typo must not silently run the
+    // whole grid or name the output file.
     std::string out_path = "BENCH_scaling.json";
+    bool have_path = false;
+    const auto refuse = [](const std::string &why) {
+        std::fprintf(stderr, "bench_scaling: %s\n%s", why.c_str(),
+                     kUsage);
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        if (std::strncmp(arg, "--benchmark_out=", 16) == 0)
-            out_path = arg + 16;
-        else if (std::strncmp(arg, "--benchmark_", 12) != 0)
+        const char *value = nullptr;
+        if (std::strcmp(arg, "--help") == 0) {
+            std::fputs(kUsage, stdout);
+            return 0;
+        }
+        if ((value = flagValue(arg, "--benchmark_out"))) {
+            if (*value == '\0')
+                return refuse("--benchmark_out needs a path");
+            if (have_path)
+                return refuse("more than one output path");
+            out_path = value;
+            have_path = true;
+        } else if ((value = flagValue(arg, "--benchmark_out_format"))) {
+            if (std::strcmp(value, "json") != 0)
+                return refuse("only --benchmark_out_format=json is "
+                              "supported");
+        } else if ((value = flagValue(arg, "--benchmark_format"))) {
+            if (std::strcmp(value, "console") != 0)
+                return refuse("only --benchmark_format=console is "
+                              "supported");
+        } else if (arg[0] == '-') {
+            return refuse(std::string("unknown option '") + arg + "'");
+        } else {
+            if (have_path)
+                return refuse("more than one output path");
             out_path = arg;
+            have_path = true;
+        }
     }
     // 16-wide clusters past 64 nodes; small fabrics keep 4 so the
     // clustered engine is exercised (the scheduler still solves them
@@ -273,10 +323,15 @@ main(int argc, char **argv)
             Entry entry;
             entry.name = "BM_ScheduleDecomposed" + suffix;
             entry.realMs = elapsedMs(decomposed_start);
+            // Sub-ILPs solved vs answered by the scheduler's memo.
+            const ilp::SolveMemo::Counts solves =
+                clustered_scheduler.solveCounts();
             entry.counters = {
                 {"feasible",
                  clustered_schedule.feasible ? 1.0 : 0.0},
                 {"clusters", static_cast<double>(clusters)},
+                {"subilps_solved", static_cast<double>(solves.solved)},
+                {"subilps_reused", static_cast<double>(solves.reused)},
                 {"peak_rss_kb",
                  static_cast<double>(statusKb("VmHWM:"))}};
             entries.push_back(entry);

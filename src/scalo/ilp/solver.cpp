@@ -416,8 +416,8 @@ solveIlp(const Model &model, int max_nodes)
     std::vector<Frame> stack{{lowers, uppers}};
 
     while (!stack.empty()) {
-        SCALO_ASSERT(++nodes <= max_nodes,
-                     "branch-and-bound node budget exceeded");
+        if (++nodes > max_nodes)
+            return {Status::BudgetExceeded, 0.0, {}};
         Frame frame = std::move(stack.back());
         stack.pop_back();
 

@@ -20,6 +20,9 @@ enum class Status
     Optimal,
     Infeasible,
     Unbounded,
+    /** solveIlp() ran out of branch-and-bound nodes before proving
+     *  an optimum; no solution point is returned. */
+    BudgetExceeded,
 };
 
 /** A solution point with its objective value. */
@@ -32,6 +35,9 @@ struct Solution
     bool ok() const { return status == Status::Optimal; }
 };
 
+/** Default branch-and-bound node budget of solveIlp(). */
+inline constexpr int kDefaultMaxNodes = 200'000;
+
 /** Solve the continuous relaxation (integrality ignored). */
 Solution solveLp(const Model &model);
 
@@ -39,9 +45,10 @@ Solution solveLp(const Model &model);
  * Solve with integrality enforced via branch and bound.
  *
  * @param model     the ILP
- * @param max_nodes branch-and-bound node budget (panics if exceeded,
- *                  which would indicate a malformed scheduler model)
+ * @param max_nodes branch-and-bound node budget; a search that needs
+ *                  more nodes stops and returns
+ *                  Status::BudgetExceeded (never a partial incumbent)
  */
-Solution solveIlp(const Model &model, int max_nodes = 200'000);
+Solution solveIlp(const Model &model, int max_nodes = kDefaultMaxNodes);
 
 } // namespace scalo::ilp

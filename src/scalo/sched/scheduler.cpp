@@ -217,6 +217,15 @@ addQuadraticCuts(ilp::Model &model, int e_var, int q_var, double e_max)
     }
 }
 
+/** Why a solve produced no allocation, for Schedule::reason. */
+std::string
+failureText(ilp::Status status)
+{
+    return status == ilp::Status::BudgetExceeded
+               ? "exceeded its branch-and-bound budget"
+               : "infeasible";
+}
+
 } // namespace
 
 Scheduler::Scheduler(SystemConfig config)
@@ -231,6 +240,13 @@ Scheduler::Scheduler(SystemConfig config)
     effectivePlan.validate();
     SCALO_ASSERT(effectivePlan.nodeCount() == systemConfig.nodes,
                  "cluster plan must cover every node");
+}
+
+ilp::Solution
+Scheduler::solve(const ilp::Model &model) const
+{
+    return systemConfig.integerElectrodes ? solveMemo.solveIlp(model)
+                                          : solveMemo.solveLp(model);
 }
 
 bool
@@ -459,11 +475,9 @@ Scheduler::scheduleMasked(const std::vector<FlowSpec> &flows,
     }
 
     model.setObjective(std::move(objective), /*maximize=*/true);
-    const ilp::Solution solution = systemConfig.integerElectrodes
-                                       ? ilp::solveIlp(model)
-                                       : ilp::solveLp(model);
+    const ilp::Solution solution = solve(model);
     if (!solution.ok()) {
-        result.reason = "ILP infeasible";
+        result.reason = "ILP " + failureText(solution.status);
         return result;
     }
 
@@ -723,12 +737,10 @@ Scheduler::scheduleClusterMasked(
     }
 
     model.setObjective(std::move(objective), /*maximize=*/true);
-    const ilp::Solution solution = systemConfig.integerElectrodes
-                                       ? ilp::solveIlp(model)
-                                       : ilp::solveLp(model);
+    const ilp::Solution solution = solve(model);
     if (!solution.ok()) {
         result.reason = "cluster " + std::to_string(cluster) +
-                        " sub-ILP infeasible";
+                        " sub-ILP " + failureText(solution.status);
         return result;
     }
 

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "scalo/ilp/memo.hpp"
 #include "scalo/net/cluster.hpp"
 #include "scalo/net/radio.hpp"
 #include "scalo/sched/workloads.hpp"
@@ -99,7 +100,14 @@ struct RescheduleResult
     units::Milliwatts maxNodePowerAfter{0.0};
 };
 
-/** The optimal mapper. */
+/**
+ * The optimal mapper. Every sub-ILP it poses goes through one exact
+ * solve memo owned by this object (ilp::SolveMemo): a problem posed
+ * twice — the identical clusters of a balanced plan, or the same
+ * repair recurring within one simulation — is solved once. Results
+ * are bit-identical to solving afresh, so the memo is invisible
+ * except in solveCounts(). Concurrent calls are safe.
+ */
 class Scheduler
 {
   public:
@@ -143,6 +151,13 @@ class Scheduler
     maxAggregateThroughput(const FlowSpec &flow) const;
 
     const SystemConfig &config() const { return systemConfig; }
+
+    /** Sub-ILPs solved vs answered from the memo so far. */
+    ilp::SolveMemo::Counts
+    solveCounts() const
+    {
+        return solveMemo.counts();
+    }
 
     /** The effective partition (flat when none was configured). */
     const net::ClusterPlan &plan() const { return effectivePlan; }
@@ -256,8 +271,12 @@ class Scheduler
                           Schedule &combined,
                           const std::vector<bool> &alive) const;
 
+    /** LP or ILP per the config, through the memo. */
+    ilp::Solution solve(const ilp::Model &model) const;
+
     SystemConfig systemConfig;
     net::ClusterPlan effectivePlan;
+    mutable ilp::SolveMemo solveMemo;
 };
 
 } // namespace scalo::sched

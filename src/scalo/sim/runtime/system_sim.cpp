@@ -223,6 +223,7 @@ struct SystemSim::Cluster
 
 SystemSim::SystemSim(SystemSimConfig cfg)
     : config(std::move(cfg)),
+      scheduler(config.system),
       injector(config.faults, config.seed),
       liveSchedule(config.schedule)
 {
@@ -794,7 +795,6 @@ SystemSim::applyReschedule(Cluster &cluster)
 {
     const std::vector<std::size_t> dead =
         cluster.detector.deadNodes();
-    const sched::Scheduler scheduler(config.system);
     sched::RescheduleResult repaired;
     if (clusters.size() == 1) {
         repaired = scheduler.reschedule(config.flows,
@@ -1367,7 +1367,6 @@ SystemSim::performRestitch(std::uint64_t upto_ticks)
     const std::vector<std::size_t> unreachable =
         backboneDetector.deadNodes();
 
-    const sched::Scheduler scheduler(config.system);
     sched::RescheduleResult repaired = scheduler.restitchBackbone(
         config.flows, config.priorities, config.schedule, dead,
         unreachable);

@@ -320,6 +320,9 @@ class SystemSim
     SystemSimConfig config;
     /** Effective partition (flat when the config has none). */
     net::ClusterPlan plan;
+    /** The run's one scheduler: every repair re-solve goes through
+     *  it, so repairs share its solve memo. */
+    const sched::Scheduler scheduler;
     std::vector<std::unique_ptr<Cluster>> clusters;
     /** Coordinator-side trace: backbone rounds and relay packets. */
     Trace globalTrace;
@@ -356,9 +359,11 @@ class SystemSim
      * Backbone-cadence failure detector over *clusters*: each
      * backbone round a cluster with alive senders either reached the
      * backbone (heard) or did not (miss); crossing the miss threshold
-     * declares the cluster partitioned. Sized to the cluster count.
+     * declares the cluster partitioned. Sized to the cluster count
+     * by the constructor; the placeholder must still meet the
+     * detector's precondition (at least one node).
      */
-    net::HeartbeatDetector backboneDetector{0, 3};
+    net::HeartbeatDetector backboneDetector{1, 3};
     /** The backbone detector changed state since the last restitch. */
     bool backboneRestitchPending = false;
     /** Latest tick of any event that requested the pending restitch

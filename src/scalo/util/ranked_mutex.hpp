@@ -47,6 +47,9 @@ inline constexpr int kThreadPoolLoopError = 50;
 inline constexpr int kThreadPoolLoopDone = 52;
 /** signal::FftPlan process-wide plan cache (leaf). */
 inline constexpr int kFftPlanCache = 60;
+/** ilp::SolveMemo entries of one sched::Scheduler (leaf; never held
+ *  during a solve). */
+inline constexpr int kIlpSolveMemo = 70;
 
 } // namespace lockrank
 

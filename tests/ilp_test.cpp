@@ -1,14 +1,19 @@
 /**
  * @file
  * Unit tests for scalo::ilp: the model builder, the two-phase simplex
- * on LPs with known optima, degenerate/infeasible/unbounded cases, and
- * branch-and-bound on integer programs.
+ * on LPs with known optima, degenerate/infeasible/unbounded cases,
+ * branch-and-bound on integer programs (and its node budget), and the
+ * exact solve memo's keying.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
+#include "scalo/ilp/memo.hpp"
 #include "scalo/ilp/model.hpp"
 #include "scalo/ilp/solver.hpp"
 
@@ -247,6 +252,125 @@ TEST(Ilp, SchedulerShapedProblem)
         total_compare +=
             s.values[compare[static_cast<std::size_t>(node)]];
     EXPECT_NEAR(total_compare, 48.0, 1e-6);
+}
+
+TEST(Ilp, BudgetExceededIsAStatusNotAnAbort)
+{
+    // max x  s.t. 2x <= 7 branches at the root (LP optimum 3.5), so a
+    // one-node budget runs out before any integral point is found.
+    Model m;
+    const int x = m.addVariable("x", 0.0, kInf, true);
+    m.addConstraint({{x, 2.0}}, Relation::LessEq, 7.0);
+    m.setObjective({{x, 1.0}});
+
+    const Solution s = solveIlp(m, /*max_nodes=*/1);
+    EXPECT_EQ(s.status, Status::BudgetExceeded);
+    EXPECT_FALSE(s.ok());
+    EXPECT_TRUE(s.values.empty());
+    EXPECT_TRUE(solveIlp(m).ok());
+}
+
+/** The inputs of textbook() a variant may perturb. */
+struct TextbookInputs
+{
+    bool firstRowOnY = false;
+    double xLower = 0.0;
+    double xUpper = kInf;
+    bool xInteger = false;
+    double capCoefficient = 3.0;
+    bool capTermsSwapped = false;
+    Relation capRelation = Relation::LessEq;
+    double cap = 18.0;
+    double yObjective = 5.0;
+    bool maximize = true;
+};
+
+/** max 3x + 5y  s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, any names. */
+Model
+textbook(const std::string &x_name, const std::string &y_name,
+         const std::string &cap_name, const TextbookInputs &in = {})
+{
+    Model m;
+    const int x = m.addVariable(x_name, in.xLower, in.xUpper,
+                                in.xInteger);
+    const int y = m.addVariable(y_name);
+    m.addConstraint({{in.firstRowOnY ? y : x, 1.0}}, Relation::LessEq,
+                    4.0);
+    m.addConstraint({{y, 2.0}}, Relation::LessEq, 12.0);
+    const Term cx{x, in.capCoefficient};
+    const Term cy{y, 2.0};
+    m.addConstraint(in.capTermsSwapped ? Expr{cy, cx} : Expr{cx, cy},
+                    in.capRelation, in.cap, cap_name);
+    m.setObjective({{x, 3.0}, {y, in.yObjective}}, in.maximize);
+    return m;
+}
+
+/** Status, objective and point as raw bits. */
+std::vector<std::uint64_t>
+bits(const Solution &s)
+{
+    std::vector<std::uint64_t> out{
+        static_cast<std::uint64_t>(s.status),
+        std::bit_cast<std::uint64_t>(s.objective)};
+    for (const double v : s.values)
+        out.push_back(std::bit_cast<std::uint64_t>(v));
+    return out;
+}
+
+TEST(SolveMemo, NamesAreNotPartOfTheKey)
+{
+    SolveMemo memo;
+    const Solution a = memo.solveLp(textbook("x", "y", "cap"));
+    const Solution b = memo.solveLp(textbook("u", "v", ""));
+    EXPECT_EQ(memo.counts().solved, 1u);
+    EXPECT_EQ(memo.counts().reused, 1u);
+    EXPECT_EQ(bits(a), bits(b));
+    EXPECT_EQ(bits(a), bits(solveLp(textbook("x", "y", "cap"))));
+}
+
+TEST(SolveMemo, EveryInputTheSolverReadsIsKeyed)
+{
+    // Each variant moves one solver input by as little as it can: a
+    // 1-ulp double, -0.0 for 0.0, one flag. None may be answered from
+    // another's entry.
+    std::vector<TextbookInputs> variants(11);
+    variants[1].cap = std::nextafter(18.0, 19.0);
+    variants[2].xLower = -0.0;
+    variants[3].xUpper = std::nextafter(kInf, 0.0);
+    variants[4].xInteger = true;
+    variants[5].capCoefficient = std::nextafter(3.0, 4.0);
+    variants[6].capTermsSwapped = true;
+    variants[7].capRelation = Relation::Equal;
+    variants[8].yObjective = std::nextafter(5.0, 6.0);
+    variants[9].maximize = false;
+    variants[10].firstRowOnY = true;
+
+    SolveMemo memo;
+    for (const TextbookInputs &in : variants)
+        memo.solveLp(textbook("x", "y", "cap", in));
+    EXPECT_EQ(memo.counts().solved, variants.size());
+    EXPECT_EQ(memo.counts().reused, 0u);
+}
+
+TEST(SolveMemo, LpAndIlpSolvesAreSeparateEntries)
+{
+    // The same model relaxed (3.5) and integral (3) must not collide,
+    // nor may ILP solves under different node budgets (0 included).
+    Model m;
+    const int x = m.addVariable("x", 0.0, kInf, true);
+    m.addConstraint({{x, 2.0}}, Relation::LessEq, 7.0);
+    m.setObjective({{x, 1.0}});
+
+    SolveMemo memo;
+    for (int pass = 0; pass < 2; ++pass) {
+        EXPECT_NEAR(memo.solveLp(m).objective, 3.5, 1e-7);
+        EXPECT_EQ(memo.solveIlp(m, 0).status, Status::BudgetExceeded);
+        EXPECT_EQ(memo.solveIlp(m, 1).status, Status::BudgetExceeded);
+        EXPECT_NEAR(memo.solveIlp(m).objective, 3.0, 1e-7);
+    }
+    // Every status is memoized, the budget-exceeded one included.
+    EXPECT_EQ(memo.counts().solved, 4u);
+    EXPECT_EQ(memo.counts().reused, 4u);
 }
 
 TEST(Model, FeasibilityChecker)

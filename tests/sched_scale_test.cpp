@@ -4,17 +4,22 @@
  * plus greedy backbone stitching behind the flat Scheduler interface.
  * Covers feasibility at 64 nodes, bit-identity with the monolithic
  * solve below the decomposition threshold, the bounded optimality gap
- * of the decomposition, incremental rescheduling at 256 nodes, and
- * the greedy repair path.
+ * of the decomposition, incremental rescheduling at 256 nodes, the
+ * greedy repair path, and the solve memo: one distinct sub-ILP for a
+ * balanced plan, warm repairs bit-identical to fresh ones, and
+ * concurrent repairs on one shared Scheduler.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "scalo/sched/scheduler.hpp"
 #include "scalo/sched/workloads.hpp"
+#include "scalo/util/thread_pool.hpp"
 
 namespace scalo::sched {
 namespace {
@@ -214,6 +219,128 @@ TEST(SchedScale, GreedyRepairShedsDeadWorkAt64)
     }
     EXPECT_LE(maxPowerMw(repaired),
               constants::kPowerCap.count() + 1e-6);
+}
+
+TEST(SchedScale, Balanced128SolvesOneDistinctSubIlp)
+{
+    // Eight identical clusters pose the same sub-ILP up to naming:
+    // the memo solves it once and answers the other seven.
+    const Scheduler scheduler(clusteredConfig(128, 8));
+    ASSERT_TRUE(scheduler.decomposed());
+    const Schedule schedule =
+        scheduler.schedule(mixedFlows(), kPriorities);
+    ASSERT_TRUE(schedule.feasible) << schedule.reason;
+    EXPECT_EQ(scheduler.solveCounts().solved, 1u);
+    EXPECT_EQ(scheduler.solveCounts().reused, 7u);
+}
+
+/** Every electrode count and node power of @p s, as raw bits. */
+std::vector<std::uint64_t>
+scheduleBits(const Schedule &s)
+{
+    std::vector<std::uint64_t> out{s.feasible ? 1u : 0u};
+    for (const FlowAllocation &alloc : s.flows)
+        for (const double e : alloc.electrodesPerNode)
+            out.push_back(std::bit_cast<std::uint64_t>(e));
+    for (const units::Milliwatts p : s.nodePower)
+        out.push_back(std::bit_cast<std::uint64_t>(p.count()));
+    return out;
+}
+
+/** One repair call of the sequence below. */
+struct Repair
+{
+    enum Kind { Full, Cluster, Restitch } kind;
+    std::vector<std::size_t> dead;
+    std::size_t cluster = 0;
+    std::vector<std::size_t> unreachable = {};
+};
+
+RescheduleResult
+runRepair(const Scheduler &scheduler, const Schedule &original,
+          const Repair &repair)
+{
+    const std::vector<FlowSpec> flows = mixedFlows();
+    switch (repair.kind) {
+      case Repair::Full:
+        return scheduler.reschedule(flows, kPriorities, original,
+                                    repair.dead);
+      case Repair::Cluster:
+        return scheduler.rescheduleCluster(
+            flows, kPriorities, original, repair.dead, repair.cluster);
+      case Repair::Restitch:
+        break;
+    }
+    return scheduler.restitchBackbone(flows, kPriorities, original,
+                                      repair.dead, repair.unreachable);
+}
+
+TEST(SchedScale, WarmMemoRepairsMatchFreshSchedulers)
+{
+    // 64 nodes in 8 clusters of 8. Node 10 sits where node 18 does in
+    // its cluster, so some repairs repeat a sub-ILP across clusters.
+    const SystemConfig config = clusteredConfig(64, 8);
+    const Scheduler warm(config);
+    const Schedule original = warm.schedule(mixedFlows(), kPriorities);
+    ASSERT_TRUE(original.feasible) << original.reason;
+    EXPECT_EQ(scheduleBits(original),
+              scheduleBits(Scheduler(config).schedule(mixedFlows(),
+                                                      kPriorities)));
+
+    const std::vector<Repair> sequence{
+        {Repair::Cluster, {18}, 2},
+        {Repair::Full, {18}},
+        {Repair::Restitch, {18}, 0, {5}},
+        {Repair::Cluster, {10}, 1},
+        {Repair::Cluster, {18}, 2},
+        {Repair::Full, {10, 18}},
+        {Repair::Restitch, {10, 18}},
+        {Repair::Restitch, {}, 0, {3}},
+    };
+    for (std::size_t i = 0; i < sequence.size(); ++i) {
+        const Scheduler fresh(config);
+        EXPECT_EQ(scheduleBits(runRepair(warm, original, sequence[i])
+                                   .schedule),
+                  scheduleBits(runRepair(fresh, original, sequence[i])
+                                   .schedule))
+            << "repair " << i;
+    }
+    EXPECT_GT(warm.solveCounts().reused, 7u)
+        << "the sequence never hit the memo";
+}
+
+TEST(SchedScale, ConcurrentRescheduleClusterOnSharedScheduler)
+{
+    // Every cluster repaired at once, twice over, through one shared
+    // Scheduler (the parallel simulator's pattern): each result must
+    // equal the same repair on a private, fresh Scheduler.
+    const SystemConfig config = clusteredConfig(64, 8);
+    const Scheduler shared(config);
+    const Schedule original =
+        shared.schedule(mixedFlows(), kPriorities);
+    ASSERT_TRUE(original.feasible) << original.reason;
+
+    const std::size_t clusters = shared.plan().clusterCount();
+    std::vector<Repair> repairs;
+    for (std::size_t round = 0; round < 2; ++round)
+        for (std::size_t c = 0; c < clusters; ++c)
+            repairs.push_back(
+                {Repair::Cluster, {shared.plan().members(c)[1 + c % 3]},
+                 c});
+
+    std::vector<std::vector<std::uint64_t>> concurrent(repairs.size());
+    util::ThreadPool pool(4);
+    pool.parallelFor(repairs.size(), [&](std::size_t i) {
+        concurrent[i] = scheduleBits(
+            runRepair(shared, original, repairs[i]).schedule);
+    });
+    for (std::size_t i = 0; i < repairs.size(); ++i)
+        EXPECT_EQ(concurrent[i],
+                  scheduleBits(runRepair(Scheduler(config), original,
+                                         repairs[i])
+                                   .schedule))
+            << "repair " << i;
+    EXPECT_GE(shared.solveCounts().reused, clusters);
 }
 
 } // namespace
