@@ -27,6 +27,8 @@ Build-context checks (the keys gbench_main.cpp stamps):
    report-only for that run and a note is printed. This keeps the
    enforced gate green on forced-scalar CI builds without masking
    regressions on the matching-mode path.
+ - The same downgrade applies when the dumps' num_cpus differ: a
+   baseline recorded on another core count measures another machine.
 
     ci/compare_bench.py BENCH_kernels.json fresh.json \
         --tolerance 0.25 --enforce ci/bench_gate.json --require-release
@@ -118,18 +120,30 @@ def main():
         with open(args.enforce, "r", encoding="utf-8") as fh:
             enforced = set(json.load(fh))
 
-    # Baselines recorded in one SIMD mode are not comparable to runs
-    # in the other: downgrade enforcement, keep the report.
+    # Baselines recorded in one SIMD mode, or on a different CPU
+    # count, are not comparable to this run: downgrade enforcement,
+    # keep the report.
+    mismatches = []
     base_mode = base_ctx.get("scalo_simd")
     curr_mode = curr_ctx.get("scalo_simd")
-    mode_mismatch = curr_mode is not None and base_mode != curr_mode
-    if mode_mismatch and (enforced or args.strict):
-        print(
-            f"NOTE: baseline is a "
+    if curr_mode is not None and base_mode != curr_mode:
+        mismatches.append(
+            f"baseline is a "
             f"'{base_mode or 'pre-gate, mode-unstamped'}' build but "
-            f"current is '{curr_mode}': cross-mode numbers are "
-            f"expected to differ, downgrading to report-only for "
-            f"this run"
+            f"current is '{curr_mode}'"
+        )
+    base_cpus = base_ctx.get("num_cpus")
+    curr_cpus = curr_ctx.get("num_cpus")
+    if base_cpus != curr_cpus:
+        mismatches.append(
+            f"baseline ran on num_cpus={base_cpus} but current on "
+            f"num_cpus={curr_cpus}"
+        )
+    if mismatches and (enforced or args.strict):
+        print(
+            f"NOTE: {'; '.join(mismatches)}: cross-configuration "
+            f"numbers are expected to differ, downgrading to "
+            f"report-only for this run"
         )
         enforced = set()
         args.strict = False

@@ -278,7 +278,7 @@ main(int argc, char **argv)
                     "throughput %.2f -> %.2f Mbps, peak power "
                     "%.2f -> %.2f mW\n",
                     resched.at.count(),
-                    resched.viaIlp ? "ILP" : "greedy repair",
+                    resched.viaIlp ? "ILP" : "fallback",
                     dead.c_str(), resched.throughputBefore.count(),
                     resched.throughputAfter.count(),
                     resched.maxNodePowerBefore.count(),
@@ -299,7 +299,7 @@ main(int argc, char **argv)
                     "(unreachable clusters {%s}): throughput "
                     "%.2f -> %.2f Mbps\n",
                     restitch.at.count(),
-                    restitch.viaIlp ? "ILP" : "greedy repair",
+                    restitch.viaIlp ? "ILP" : "fallback",
                     unreachable.c_str(),
                     restitch.throughputBefore.count(),
                     restitch.throughputAfter.count());

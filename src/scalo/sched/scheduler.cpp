@@ -1,8 +1,6 @@
 #include "scalo/sched/scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "scalo/hw/nvm.hpp"
 #include "scalo/ilp/solver.hpp"
@@ -100,57 +98,22 @@ totalLeak(const SystemConfig &config,
 
 /**
  * Per-node power of an allocation: leakage on live nodes plus each
- * flow's linear/quadratic dynamic terms (receive-side for
- * exact-compare flows). Dead nodes are off and draw nothing.
+ * flow's linear/quadratic dynamic terms. Exact-compare flows charge
+ * the receive side hierarchically: nodes compare windows against
+ * their cluster peers only, and each cluster's relay additionally
+ * compares the other clusters' backbone aggregates. (This is the
+ * point of clustering: all-pairs comparison work turns into
+ * per-cluster work plus one relay-side pass.) On a one-cluster plan
+ * the relay term is zero and this is the flat all-pairs model. Dead
+ * nodes are off and draw nothing.
  */
 std::vector<units::Milliwatts>
 allocationPower(const SystemConfig &config,
                 const std::vector<FlowSpec> &flows,
                 const std::vector<FlowAllocation> &allocs,
                 const std::vector<bool> &alive,
-                units::Milliwatts leak_total)
-{
-    std::vector<units::Milliwatts> power(config.nodes,
-                                         units::Milliwatts{0.0});
-    for (std::size_t n = 0; n < config.nodes; ++n)
-        if (alive[n])
-            power[n] = leak_total;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-        const bool exact = flows[f].network &&
-                           flows[f].network->exactCompare &&
-                           config.wirelessNetwork;
-        for (std::size_t n = 0; n < config.nodes; ++n) {
-            if (!alive[n])
-                continue;
-            const double e = allocs[f].electrodesPerNode[n];
-            if (exact) {
-                // Receive-side comparison power.
-                power[n] += flows[f].linPerElectrode *
-                            (allocs[f].totalElectrodes - e);
-            } else {
-                power[n] += flows[f].linPerElectrode * e +
-                            flows[f].quadPerElectrode2 * e * e;
-            }
-        }
-    }
-    return power;
-}
-
-/**
- * Per-node power under the hierarchical exact-compare model: nodes
- * compare windows against their cluster peers only, and each
- * cluster's relay additionally compares the other clusters' backbone
- * aggregates. (This is the point of clustering: all-pairs comparison
- * work turns into per-cluster work plus one relay-side pass.)
- * Non-exact flows charge exactly as in the flat model.
- */
-std::vector<units::Milliwatts>
-allocationPowerClustered(const SystemConfig &config,
-                         const std::vector<FlowSpec> &flows,
-                         const std::vector<FlowAllocation> &allocs,
-                         const std::vector<bool> &alive,
-                         units::Milliwatts leak_total,
-                         const net::ClusterPlan &plan)
+                units::Milliwatts leak_total,
+                const net::ClusterPlan &plan)
 {
     std::vector<units::Milliwatts> power(config.nodes,
                                          units::Milliwatts{0.0});
@@ -226,6 +189,100 @@ failureText(ilp::Status status)
                : "infeasible";
 }
 
+/**
+ * At or below this node count schedule() keeps the dense monolithic
+ * solve even on a multi-cluster plan, so small-N schedules are
+ * bit-identical to the flat ones.
+ */
+constexpr std::size_t kMonolithicNodeThreshold = 48;
+
+/**
+ * Static gates a flow set must pass before any ILP is posed; empty
+ * when it does. The PE chains are pipelined at the window cadence
+ * (each PE sits in its own clock domain and overlaps with its
+ * neighbours), so the binding serial component is the network
+ * exchange round, which must fit the response-time target. And
+ * leakage alone must leave room under the power cap: this keeps every
+ * power row's budget positive, one half of the zero-feasibility
+ * contract.
+ */
+std::string
+unschedulable(const SystemConfig &config,
+              const std::vector<FlowSpec> &flows)
+{
+    for (const FlowSpec &flow : flows) {
+        if (flow.network &&
+            flow.network->roundBudget >
+                flow.responseTime + units::Millis{1e-9})
+            return "flow '" + flow.name +
+                   "' cannot meet its response time";
+    }
+    if (config.powerCap - totalLeak(config, flows) <= 0.0_mW)
+        return "leakage alone exceeds the power cap";
+    return {};
+}
+
+units::Milliwatts
+maxPower(const std::vector<units::Milliwatts> &power)
+{
+    units::Milliwatts peak{0.0};
+    for (const units::Milliwatts p : power)
+        peak = std::max(peak, p);
+    return peak;
+}
+
+std::vector<std::size_t>
+allClusters(const net::ClusterPlan &plan)
+{
+    std::vector<std::size_t> out(plan.clusterCount());
+    for (std::size_t c = 0; c < out.size(); ++c)
+        out[c] = c;
+    return out;
+}
+
+/**
+ * The clusters owning @p dead_nodes, ascending and distinct. Ids past
+ * the plan are skipped here; resolve() rejects them.
+ */
+std::vector<std::size_t>
+deadClusters(const net::ClusterPlan &plan,
+             const std::vector<std::size_t> &dead_nodes)
+{
+    std::vector<std::size_t> out;
+    for (const std::size_t n : dead_nodes)
+        if (n < plan.nodeCount())
+            out.push_back(plan.clusterOf(n));
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+}
+
+/**
+ * Cap a re-solved cluster's per-flow totals at the pre-death totals
+ * of @p original. A fresh sub-solve does not know how the backbone
+ * stitch had scaled the flow fabric-wide; clamping keeps relay
+ * payloads monotonically non-increasing, which is what lets a
+ * cluster reschedule skip the (fabric-wide) re-stitch.
+ */
+void
+clampClusterToOriginal(const Schedule &original, Schedule &repaired,
+                       const std::vector<std::size_t> &members)
+{
+    for (std::size_t f = 0; f < repaired.flows.size(); ++f) {
+        double before = 0.0;
+        double after = 0.0;
+        for (const std::size_t n : members) {
+            before += original.flows[f].electrodesPerNode[n];
+            after += repaired.flows[f].electrodesPerNode[n];
+        }
+        if (after > before + 1e-9 && after > 0.0) {
+            const double scale = before / after;
+            for (const std::size_t n : members)
+                repaired.flows[f].electrodesPerNode[n] *= scale;
+        }
+    }
+}
+
 } // namespace
 
 Scheduler::Scheduler(SystemConfig config)
@@ -234,9 +291,9 @@ Scheduler::Scheduler(SystemConfig config)
     SCALO_ASSERT(systemConfig.nodes >= 1, "need at least one node");
     SCALO_ASSERT(systemConfig.powerCap > 0.0_mW,
                  "power cap must be > 0");
-    effectivePlan = systemConfig.clusters.empty()
-                        ? net::ClusterPlan::flat(systemConfig.nodes)
-                        : systemConfig.clusters;
+    flatPlan = net::ClusterPlan::flat(systemConfig.nodes);
+    effectivePlan =
+        systemConfig.clusters.empty() ? flatPlan : systemConfig.clusters;
     effectivePlan.validate();
     SCALO_ASSERT(effectivePlan.nodeCount() == systemConfig.nodes,
                  "cluster plan must cover every node");
@@ -253,18 +310,15 @@ bool
 Scheduler::decomposed() const
 {
     return effectivePlan.clusterCount() > 1 &&
-           systemConfig.nodes > systemConfig.monolithicNodeThreshold;
+           systemConfig.nodes > kMonolithicNodeThreshold;
 }
 
 Schedule
 Scheduler::schedule(const std::vector<FlowSpec> &flows,
                     const std::vector<double> &priorities) const
 {
-    if (decomposed())
-        return scheduleDecomposed(flows, priorities);
-    return scheduleMasked(
-        flows, priorities,
-        std::vector<bool>(systemConfig.nodes, true));
+    return decomposed() ? scheduleDecomposed(flows, priorities)
+                        : scheduleMonolithic(flows, priorities);
 }
 
 Schedule
@@ -272,310 +326,42 @@ Scheduler::scheduleMonolithic(
     const std::vector<FlowSpec> &flows,
     const std::vector<double> &priorities) const
 {
-    return scheduleMasked(
-        flows, priorities,
-        std::vector<bool>(systemConfig.nodes, true));
+    return resolve(flows, priorities, Schedule{}, {},
+                   {.plan = flatPlan, .clusters = {0}})
+        .schedule;
 }
 
 Schedule
-Scheduler::scheduleMasked(const std::vector<FlowSpec> &flows,
-                          const std::vector<double> &priorities,
-                          const std::vector<bool> &alive) const
+Scheduler::scheduleDecomposed(
+    const std::vector<FlowSpec> &flows,
+    const std::vector<double> &priorities) const
 {
-    SCALO_ASSERT(flows.size() == priorities.size(),
-                 "one priority per flow");
-    SCALO_EXPECTS(alive.size() == systemConfig.nodes);
-    Schedule result;
+    return resolve(flows, priorities, Schedule{}, {},
+                   {.plan = effectivePlan,
+                    .clusters = allClusters(effectivePlan)})
+        .schedule;
+}
+
+ilp::Status
+Scheduler::solveCluster(const std::vector<FlowSpec> &flows,
+                        const std::vector<double> &priorities,
+                        const net::ClusterPlan &plan,
+                        const std::vector<bool> &alive,
+                        std::size_t cluster,
+                        std::vector<FlowAllocation> &allocs) const
+{
     const std::size_t nodes = systemConfig.nodes;
-
-    // Static response-time feasibility: the PE chains are pipelined
-    // at the window cadence (each PE sits in its own clock domain and
-    // overlaps with its neighbours), so the binding serial component
-    // is the network exchange round, which must fit the response-time
-    // target.
-    for (const FlowSpec &flow : flows) {
-        if (flow.network &&
-            flow.network->roundBudget >
-                flow.responseTime + units::Millis{1e-9}) {
-            result.reason = "flow '" + flow.name +
-                            "' cannot meet its response time";
-            return result;
-        }
-    }
-
+    const std::vector<std::size_t> members = plan.members(cluster);
+    // Networked flows split their round budget between the
+    // intra-cluster rounds and the backbone, and centralised caps are
+    // a fabric-wide resource of which each cluster receives its
+    // proportional share. A one-cluster plan keeps both whole.
+    const bool split = plan.clusterCount() > 1;
+    const double intra_share = split ? 1.0 - plan.backboneShare : 1.0;
     // Per-node leakage: each flow pays its own leakage, but the
     // intra-SCALO radio is one physical device, charged once.
-    const units::Milliwatts leak_total =
-        totalLeak(systemConfig, flows);
     const units::Milliwatts power_budget =
-        systemConfig.powerCap - leak_total;
-    if (power_budget <= 0.0_mW) {
-        result.reason = "leakage alone exceeds the power cap";
-        return result;
-    }
-
-    // Build the ILP.
-    ilp::Model model;
-    const double e_cap = systemConfig.maxElectrodesPerNode > 0.0
-                             ? systemConfig.maxElectrodesPerNode
-                             : 100'000.0;
-
-    std::vector<std::vector<int>> e_vars(flows.size());
-    std::vector<std::vector<int>> q_vars(flows.size());
-    std::vector<std::vector<bool>> counted(flows.size());
-    ilp::Expr objective;
-
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-        const FlowSpec &flow = flows[f];
-        // Exact-compare flows only give credit (and allocate
-        // electrodes) to the transmitting nodes.
-        const bool exact = flow.network && flow.network->exactCompare;
-        // Dead nodes process nothing for any flow.
-        std::vector<bool> is_sender = alive;
-        if (exact && systemConfig.wirelessNetwork) {
-            std::fill(is_sender.begin(), is_sender.end(), false);
-            for (std::size_t n :
-                 senders(flow.network->pattern, alive)) {
-                is_sender[n] = true;
-            }
-        }
-        counted[f] = is_sender;
-        // Upper bound from power alone, used to place tangent cuts.
-        const double e_power_max = std::min(
-            e_cap, flow.electrodesAtPower(systemConfig.powerCap));
-        for (std::size_t n = 0; n < nodes; ++n) {
-            const int e = model.addVariable(
-                flow.name + ".e" + std::to_string(n), 0.0,
-                is_sender[n] ? e_cap : 0.0,
-                systemConfig.integerElectrodes);
-            e_vars[f].push_back(e);
-            if (is_sender[n])
-                objective.push_back({e, priorities[f]});
-            if (flow.quadPerElectrode2.count() > 0.0) {
-                const int q = model.addVariable(
-                    flow.name + ".q" + std::to_string(n), 0.0,
-                    ilp::kInf, false);
-                q_vars[f].push_back(q);
-                addQuadraticCuts(model, e, q,
-                                 std::max(1.0, e_power_max) * 1.05);
-            } else {
-                q_vars[f].push_back(-1);
-            }
-        }
-        // Centralised caps (e.g. the Kalman aggregator's NVM).
-        if (flow.centralElectrodeCap > 0.0) {
-            ilp::Expr total;
-            for (int e : e_vars[f])
-                total.push_back({e, 1.0});
-            model.addConstraint(std::move(total),
-                                ilp::Relation::LessEq,
-                                flow.centralElectrodeCap,
-                                flow.name + ".central-cap");
-        }
-    }
-
-    // Per-node power and NVM write bandwidth. The ILP's coefficient
-    // matrix is unitless, so rates and powers enter as their counts
-    // (bytes/s and mW) - the one sanctioned escape hatch.
-    const double nvm_write_bps =
-        hw::nvmSpec().writeBandwidth().count() * 1e6;
-    for (std::size_t n = 0; n < nodes; ++n) {
-        // A dead node draws no power and writes nothing; leaving its
-        // receive-side constraints in place would wrongly bound the
-        // survivors.
-        if (!alive[n])
-            continue;
-        ilp::Expr power;
-        ilp::Expr nvm;
-        for (std::size_t f = 0; f < flows.size(); ++f) {
-            const FlowSpec &flow = flows[f];
-            const bool exact = flow.network &&
-                               flow.network->exactCompare &&
-                               systemConfig.wirelessNetwork;
-            if (exact) {
-                // The comparison work lands on the receivers: node n
-                // checks every window it receives against its local
-                // history.
-                for (std::size_t m = 0; m < nodes; ++m) {
-                    if (m != n && counted[f][m] &&
-                        flow.linPerElectrode.count() > 0.0) {
-                        power.push_back(
-                            {e_vars[f][m],
-                             flow.linPerElectrode.count()});
-                    }
-                }
-            } else if (flow.linPerElectrode.count() > 0.0) {
-                power.push_back(
-                    {e_vars[f][n], flow.linPerElectrode.count()});
-            }
-            if (flow.quadPerElectrode2.count() > 0.0)
-                power.push_back(
-                    {q_vars[f][n], flow.quadPerElectrode2.count()});
-            if (flow.nvmWriteBytesPerElecPerSec > 0.0)
-                nvm.push_back({e_vars[f][n],
-                               flow.nvmWriteBytesPerElecPerSec});
-        }
-        if (!power.empty())
-            model.addConstraint(std::move(power),
-                                ilp::Relation::LessEq,
-                                power_budget.count(),
-                                "power.node" + std::to_string(n));
-        if (!nvm.empty())
-            model.addConstraint(std::move(nvm),
-                                ilp::Relation::LessEq, nvm_write_bps,
-                                "nvm.node" + std::to_string(n));
-    }
-
-    // Network budgets: for each networked flow, the serialized TDMA
-    // round of its senders must fit its budget. The wireless medium is
-    // shared across flows, so flows running concurrently also share
-    // the window cadence; each flow's budget already reflects its
-    // share of the schedule (Section 3.5 interleaves flows on the
-    // fixed TDMA schedule the ILP emits).
-    if (systemConfig.wirelessNetwork) {
-        const net::RadioSpec &radio = *systemConfig.radio;
-        for (std::size_t f = 0; f < flows.size(); ++f) {
-            const FlowSpec &flow = flows[f];
-            if (!flow.network)
-                continue;
-            const auto tx = senders(flow.network->pattern, alive);
-            if (tx.empty())
-                continue;
-            ilp::Expr round;
-            units::Millis fixed{0.0};
-            for (std::size_t n : tx) {
-                if (flow.network->bytesPerElectrode > 0.0)
-                    round.push_back(
-                        {e_vars[f][n],
-                         flow.network->bytesPerElectrode *
-                             wireTimePerByte(radio).count()});
-                fixed += wireFixed(radio) +
-                         flow.network->bytesPerNode *
-                             wireTimePerByte(radio);
-            }
-            const units::Millis budget =
-                flow.network->roundBudget - fixed;
-            if (budget < 0.0_ms) {
-                // Even empty packets from every sender overrun the
-                // round: this flow cannot run at this node count, so
-                // it is allocated nothing (the rest of the schedule
-                // stands).
-                for (std::size_t n : tx)
-                    model.addConstraint({{e_vars[f][n], 1.0}},
-                                        ilp::Relation::LessEq, 0.0,
-                                        flow.name + ".starved");
-                continue;
-            }
-            if (!round.empty())
-                model.addConstraint(std::move(round),
-                                    ilp::Relation::LessEq,
-                                    budget.count(),
-                                    flow.name + ".network");
-        }
-    }
-
-    model.setObjective(std::move(objective), /*maximize=*/true);
-    const ilp::Solution solution = solve(model);
-    if (!solution.ok()) {
-        result.reason = "ILP " + failureText(solution.status);
-        return result;
-    }
-
-    // Decode the allocation.
-    result.feasible = true;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-        FlowAllocation alloc;
-        alloc.flow = flows[f].name;
-        for (std::size_t n = 0; n < nodes; ++n) {
-            const double e = solution.values[static_cast<std::size_t>(
-                e_vars[f][n])];
-            alloc.electrodesPerNode.push_back(e);
-            alloc.totalElectrodes += e;
-        }
-        alloc.throughput = electrodesToRate(alloc.totalElectrodes);
-        result.totalThroughput += alloc.throughput;
-        result.weightedThroughput += priorities[f] * alloc.throughput;
-        result.flows.push_back(std::move(alloc));
-    }
-    result.nodePower = allocationPower(systemConfig, flows,
-                                       result.flows, alive,
-                                       leak_total);
-    for ([[maybe_unused]] const units::Milliwatts p :
-         result.nodePower)
-        SCALO_ENSURES(p.count() >= 0.0);
-    return result;
-}
-
-namespace {
-
-std::vector<bool>
-aliveMask(std::size_t nodes, const std::vector<std::size_t> &dead)
-{
-    std::vector<bool> alive(nodes, true);
-    for (const std::size_t n : dead) {
-        SCALO_EXPECTS(n < nodes);
-        alive[n] = false;
-    }
-    return alive;
-}
-
-units::Milliwatts
-maxPower(const std::vector<units::Milliwatts> &power)
-{
-    units::Milliwatts peak{0.0};
-    for (const units::Milliwatts p : power)
-        peak = std::max(peak, p);
-    return peak;
-}
-
-/**
- * Largest electrode increment at a node whose marginal dynamic power
- * a·d + b·((e+d)^2 - e^2) stays within @p headroom mW.
- */
-double
-powerRoom(double lin, double quad, double e, double headroom)
-{
-    if (headroom <= 0.0)
-        return 0.0;
-    if (quad <= 0.0)
-        return lin > 0.0 ? headroom / lin
-                         : std::numeric_limits<double>::infinity();
-    const double slope = lin + 2.0 * quad * e;
-    return (std::sqrt(slope * slope + 4.0 * quad * headroom) -
-            slope) /
-           (2.0 * quad);
-}
-
-} // namespace
-
-Schedule
-Scheduler::scheduleClusterMasked(
-    const std::vector<FlowSpec> &flows,
-    const std::vector<double> &priorities,
-    const std::vector<bool> &alive, std::size_t cluster) const
-{
-    SCALO_ASSERT(flows.size() == priorities.size(),
-                 "one priority per flow");
-    SCALO_EXPECTS(alive.size() == systemConfig.nodes);
-    Schedule result;
-    const std::size_t nodes = systemConfig.nodes;
-    const std::vector<std::size_t> members =
-        effectivePlan.members(cluster);
-    // Networked flows split their round budget between the
-    // intra-cluster rounds and the backbone.
-    const double intra_share =
-        effectivePlan.clusterCount() > 1
-            ? 1.0 - effectivePlan.backboneShare
-            : 1.0;
-
-    const units::Milliwatts leak_total =
-        totalLeak(systemConfig, flows);
-    const units::Milliwatts power_budget =
-        systemConfig.powerCap - leak_total;
-    if (power_budget <= 0.0_mW) {
-        result.reason = "leakage alone exceeds the power cap";
-        return result;
-    }
+        systemConfig.powerCap - totalLeak(systemConfig, flows);
 
     ilp::Model model;
     const double e_cap = systemConfig.maxElectrodesPerNode > 0.0
@@ -600,9 +386,12 @@ Scheduler::scheduleClusterMasked(
             // intersection with its members.
             for (const std::size_t n :
                  senders(flow.network->pattern, alive))
-                if (effectivePlan.clusterOf(n) == cluster)
+                if (plan.clusterOf(n) == cluster)
                     sub_tx[f].push_back(n);
         }
+        // Exact-compare flows only give credit (and allocate
+        // electrodes) to the transmitting nodes; dead nodes process
+        // nothing for any flow.
         is_sender[f].assign(members.size(), false);
         for (std::size_t i = 0; i < members.size(); ++i) {
             if (exact && systemConfig.wirelessNetwork) {
@@ -613,6 +402,7 @@ Scheduler::scheduleClusterMasked(
                 is_sender[f][i] = alive[members[i]];
             }
         }
+        // Upper bound from power alone, used to place tangent cuts.
         const double e_power_max = std::min(
             e_cap, flow.electrodesAtPower(systemConfig.powerCap));
         for (std::size_t i = 0; i < members.size(); ++i) {
@@ -634,24 +424,30 @@ Scheduler::scheduleClusterMasked(
                 q_vars[f].push_back(-1);
             }
         }
-        // Centralised caps are a fabric-wide resource; each cluster
-        // receives its proportional share.
+        // Centralised caps (e.g. the Kalman aggregator's NVM).
         if (flow.centralElectrodeCap > 0.0) {
             ilp::Expr total;
             for (int e : e_vars[f])
                 total.push_back({e, 1.0});
             model.addConstraint(
                 std::move(total), ilp::Relation::LessEq,
-                flow.centralElectrodeCap *
-                    static_cast<double>(members.size()) /
-                    static_cast<double>(nodes),
+                split ? flow.centralElectrodeCap *
+                            static_cast<double>(members.size()) /
+                            static_cast<double>(nodes)
+                      : flow.centralElectrodeCap,
                 flow.name + ".central-cap");
         }
     }
 
+    // Per-node power and NVM write bandwidth. The ILP's coefficient
+    // matrix is unitless, so rates and powers enter as their counts
+    // (bytes/s and mW) - the one sanctioned escape hatch.
     const double nvm_write_bps =
         hw::nvmSpec().writeBandwidth().count() * 1e6;
     for (std::size_t i = 0; i < members.size(); ++i) {
+        // A dead node draws no power and writes nothing; leaving its
+        // receive-side constraints in place would wrongly bound the
+        // survivors.
         if (!alive[members[i]])
             continue;
         ilp::Expr power;
@@ -662,9 +458,10 @@ Scheduler::scheduleClusterMasked(
                                flow.network->exactCompare &&
                                systemConfig.wirelessNetwork;
             if (exact) {
-                // Hierarchical comparison: node i checks the windows
-                // of its cluster peers (remote clusters arrive as
-                // relay aggregates, charged to the relay).
+                // The comparison work lands on the receivers: node i
+                // checks the windows of its cluster peers against its
+                // local history (remote clusters arrive as relay
+                // aggregates, charged to the relay).
                 for (std::size_t j = 0; j < members.size(); ++j) {
                     if (j != i && is_sender[f][j] &&
                         flow.linPerElectrode.count() > 0.0) {
@@ -695,8 +492,12 @@ Scheduler::scheduleClusterMasked(
                 "nvm.node" + std::to_string(members[i]));
     }
 
-    // Intra-cluster network budgets: only this cluster's senders
-    // serialize on its medium, against the intra share of the round.
+    // Network budgets: for each networked flow, the serialized TDMA
+    // round of this cluster's senders must fit the intra share of its
+    // budget. The wireless medium is shared across flows, so flows
+    // running concurrently also share the window cadence; each flow's
+    // budget already reflects its share of the schedule (Section 3.5
+    // interleaves flows on the fixed TDMA schedule the ILP emits).
     if (systemConfig.wirelessNetwork) {
         const net::RadioSpec &radio = *systemConfig.radio;
         for (std::size_t f = 0; f < flows.size(); ++f) {
@@ -707,8 +508,7 @@ Scheduler::scheduleClusterMasked(
             units::Millis fixed{0.0};
             std::vector<int> tx_vars;
             for (const std::size_t n : sub_tx[f]) {
-                const std::size_t i =
-                    n - effectivePlan.firstOf(cluster);
+                const std::size_t i = n - plan.firstOf(cluster);
                 tx_vars.push_back(e_vars[f][i]);
                 if (flow.network->bytesPerElectrode > 0.0)
                     round.push_back(
@@ -722,6 +522,9 @@ Scheduler::scheduleClusterMasked(
             const units::Millis budget =
                 intra_share * flow.network->roundBudget - fixed;
             if (budget < 0.0_ms) {
+                // Even empty packets from every sender overrun the
+                // round: this flow cannot run here, so it is
+                // allocated nothing (the rest of the schedule stands).
                 for (const int e : tx_vars)
                     model.addConstraint({{e, 1.0}},
                                         ilp::Relation::LessEq, 0.0,
@@ -736,42 +539,36 @@ Scheduler::scheduleClusterMasked(
         }
     }
 
+    // Zero-feasibility: every row is a `<=` against a non-negative
+    // budget (a negative round budget became `.starved` rows above),
+    // or a tangent cut that holds at e = q = 0. So allocating nothing
+    // is always feasible, and a solve can only fall short of Optimal
+    // by exceeding integer mode's branch-and-bound budget.
+    SCALO_ENSURES(
+        model.feasible(std::vector<double>(model.variables().size())));
+
     model.setObjective(std::move(objective), /*maximize=*/true);
     const ilp::Solution solution = solve(model);
-    if (!solution.ok()) {
-        result.reason = "cluster " + std::to_string(cluster) +
-                        " sub-ILP " + failureText(solution.status);
-        return result;
-    }
-
-    // Decode into full-width allocations (zeros outside the cluster);
-    // the caller merges and finalizes.
-    result.feasible = true;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-        FlowAllocation alloc;
-        alloc.flow = flows[f].name;
-        alloc.electrodesPerNode.assign(nodes, 0.0);
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            const double e = solution.values[static_cast<std::size_t>(
-                e_vars[f][i])];
-            alloc.electrodesPerNode[members[i]] = e;
-            alloc.totalElectrodes += e;
-        }
-        result.flows.push_back(std::move(alloc));
-    }
-    return result;
+    if (!solution.ok())
+        return solution.status;
+    for (std::size_t f = 0; f < flows.size(); ++f)
+        for (std::size_t i = 0; i < members.size(); ++i)
+            allocs[f].electrodesPerNode[members[i]] =
+                solution.values[static_cast<std::size_t>(
+                    e_vars[f][i])];
+    return solution.status;
 }
 
 void
 Scheduler::stitchBackbone(const std::vector<FlowSpec> &flows,
                           Schedule &combined,
+                          const net::ClusterPlan &plan,
                           const std::vector<bool> &alive) const
 {
-    if (!systemConfig.wirelessNetwork ||
-        effectivePlan.clusterCount() <= 1)
+    if (!systemConfig.wirelessNetwork || plan.clusterCount() <= 1)
         return;
     const net::RadioSpec &radio = *systemConfig.radio;
-    const std::size_t cluster_count = effectivePlan.clusterCount();
+    const std::size_t cluster_count = plan.clusterCount();
     for (std::size_t f = 0; f < flows.size(); ++f) {
         const FlowSpec &flow = flows[f];
         if (!flow.network)
@@ -784,7 +581,7 @@ Scheduler::stitchBackbone(const std::vector<FlowSpec> &flows,
         // packet cost plus the cluster's aggregated payload.
         std::vector<std::size_t> tx_per_cluster(cluster_count, 0);
         for (const std::size_t n : tx)
-            ++tx_per_cluster[effectivePlan.clusterOf(n)];
+            ++tx_per_cluster[plan.clusterOf(n)];
         units::Millis fixed{0.0};
         double variable_ms = 0.0;
         for (std::size_t c = 0; c < cluster_count; ++c) {
@@ -800,8 +597,7 @@ Scheduler::stitchBackbone(const std::vector<FlowSpec> &flows,
                            flow.network->bytesPerElectrode *
                            wireTimePerByte(radio).count();
         const double budget_ms =
-            (effectivePlan.backboneShare *
-             flow.network->roundBudget - fixed)
+            (plan.backboneShare * flow.network->roundBudget - fixed)
                 .count();
         if (budget_ms <= 0.0) {
             // The relays' empty aggregates alone overrun the backbone
@@ -820,6 +616,7 @@ void
 Scheduler::finalizeSchedule(const std::vector<FlowSpec> &flows,
                             const std::vector<double> &priorities,
                             Schedule &combined,
+                            const net::ClusterPlan &plan,
                             const std::vector<bool> &alive) const
 {
     combined.totalThroughput = units::MegabitsPerSecond{0.0};
@@ -834,533 +631,114 @@ Scheduler::finalizeSchedule(const std::vector<FlowSpec> &flows,
         combined.weightedThroughput +=
             priorities[f] * alloc.throughput;
     }
-    combined.nodePower = allocationPowerClustered(
-        systemConfig, flows, combined.flows, alive,
-        totalLeak(systemConfig, flows), effectivePlan);
+    combined.nodePower =
+        allocationPower(systemConfig, flows, combined.flows, alive,
+                        totalLeak(systemConfig, flows), plan);
 }
 
-Schedule
-Scheduler::scheduleDecomposed(
-    const std::vector<FlowSpec> &flows,
-    const std::vector<double> &priorities) const
+RescheduleResult
+Scheduler::resolve(const std::vector<FlowSpec> &flows,
+                   const std::vector<double> &priorities,
+                   const Schedule &base,
+                   const std::vector<std::size_t> &dead_nodes,
+                   const Resolve &how) const
 {
     SCALO_ASSERT(flows.size() == priorities.size(),
                  "one priority per flow");
-    if (effectivePlan.clusterCount() <= 1)
-        return scheduleMonolithic(flows, priorities);
-
-    Schedule combined;
-    // Same static response-time gate as the monolithic path.
-    for (const FlowSpec &flow : flows) {
-        if (flow.network &&
-            flow.network->roundBudget >
-                flow.responseTime + units::Millis{1e-9}) {
-            combined.reason = "flow '" + flow.name +
-                              "' cannot meet its response time";
-            return combined;
-        }
-    }
-
-    const std::vector<bool> alive(systemConfig.nodes, true);
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-        FlowAllocation alloc;
-        alloc.flow = flows[f].name;
-        alloc.electrodesPerNode.assign(systemConfig.nodes, 0.0);
-        combined.flows.push_back(std::move(alloc));
-    }
-    for (std::size_t c = 0; c < effectivePlan.clusterCount(); ++c) {
-        const Schedule sub =
-            scheduleClusterMasked(flows, priorities, alive, c);
-        if (!sub.feasible) {
-            combined.flows.clear();
-            combined.reason = sub.reason;
-            return combined;
-        }
-        for (std::size_t f = 0; f < flows.size(); ++f)
-            for (const std::size_t n : effectivePlan.members(c))
-                combined.flows[f].electrodesPerNode[n] =
-                    sub.flows[f].electrodesPerNode[n];
-    }
-    combined.feasible = true;
-    stitchBackbone(flows, combined, alive);
-    finalizeSchedule(flows, priorities, combined, alive);
-    for ([[maybe_unused]] const units::Milliwatts p :
-         combined.nodePower)
-        SCALO_ENSURES(p.count() >= 0.0);
-    return combined;
-}
-
-Schedule
-Scheduler::greedyRepair(const std::vector<FlowSpec> &flows,
-                        const Schedule &original,
-                        const std::vector<std::size_t> &dead_nodes)
-    const
-{
-    SCALO_EXPECTS(original.feasible);
-    SCALO_EXPECTS(original.flows.size() == flows.size());
     const std::size_t nodes = systemConfig.nodes;
-    const std::vector<bool> alive = aliveMask(nodes, dead_nodes);
-    const units::Milliwatts leak_total =
-        totalLeak(systemConfig, flows);
+    const net::ClusterPlan &plan = how.plan;
+    RescheduleResult result;
+    result.deadNodes = dead_nodes;
+    std::sort(result.deadNodes.begin(), result.deadNodes.end());
+    result.deadNodes.erase(std::unique(result.deadNodes.begin(),
+                                       result.deadNodes.end()),
+                           result.deadNodes.end());
+    // Hard checks, not contracts: an out-of-range id would index past
+    // the alive mask or the plan's offsets in release builds.
+    for (const std::size_t n : result.deadNodes)
+        SCALO_ASSERT(n < nodes, "dead node ", n, " out of range");
+    for (const auto *ids : {&how.clusters, &how.unreachable})
+        for (const std::size_t c : *ids)
+            SCALO_ASSERT(c < plan.clusterCount(), "cluster ", c,
+                         " out of range");
 
-    Schedule repaired = original;
-    repaired.reason = "greedy repair after node failure";
-    repaired.totalThroughput = units::MegabitsPerSecond{0.0};
-    repaired.weightedThroughput = units::MegabitsPerSecond{0.0};
+    std::vector<bool> alive(nodes, true);
+    for (const std::size_t n : result.deadNodes)
+        alive[n] = false;
+    // Every dead node's cluster is re-solved, unless nothing is (the
+    // bare fallback).
+    for ([[maybe_unused]] const std::size_t n : result.deadNodes)
+        SCALO_EXPECTS(how.clusters.empty() ||
+                      std::find(how.clusters.begin(),
+                                how.clusters.end(),
+                                plan.clusterOf(n)) !=
+                          how.clusters.end());
+    result.resolvedClusters = how.clusters;
+    result.throughputBefore = base.totalThroughput;
+    result.maxNodePowerBefore = maxPower(base.nodePower);
 
-    // Power headroom of the survivors under the original allocation
-    // (survivors keep their own work; the dead node's share is what
-    // moves).
-    std::vector<double> headroom(nodes, 0.0);
-    {
-        const std::vector<units::Milliwatts> used = allocationPower(
-            systemConfig, flows, repaired.flows, alive, leak_total);
-        for (std::size_t n = 0; n < nodes; ++n)
-            if (alive[n])
-                headroom[n] =
-                    (systemConfig.powerCap - used[n]).count();
+    // An infeasible base asks for a fresh schedule, which starts from
+    // nothing and fails as a whole. A repair starts from the base with
+    // the dead nodes' columns zeroed: that is also its fallback, kept
+    // for any cluster whose re-solve does not return Optimal.
+    const bool fresh = !base.feasible;
+    Schedule out = base;
+    if (fresh) {
+        out = Schedule{};
+        for (const FlowSpec &flow : flows)
+            out.flows.push_back({flow.name,
+                                 std::vector<double>(nodes, 0.0)});
     }
+    for (FlowAllocation &alloc : out.flows)
+        for (const std::size_t n : result.deadNodes)
+            alloc.electrodesPerNode[n] = 0.0;
 
-    constexpr double kEps = 1e-9;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-        const FlowSpec &flow = flows[f];
-        FlowAllocation &alloc = repaired.flows[f];
-        const bool exact = flow.network &&
-                           flow.network->exactCompare &&
-                           systemConfig.wirelessNetwork;
-        std::vector<bool> eligible = alive;
-        if (exact) {
-            std::fill(eligible.begin(), eligible.end(), false);
-            for (const std::size_t n :
-                 senders(flow.network->pattern, alive))
-                eligible[n] = true;
-        }
-
-        // Shed the dead nodes' electrodes (and any allocation a node
-        // is no longer eligible for, e.g. a relocated aggregator).
-        double shed = 0.0;
-        for (std::size_t n = 0; n < nodes; ++n) {
-            if (!eligible[n] && alloc.electrodesPerNode[n] > 0.0) {
-                shed += alloc.electrodesPerNode[n];
-                alloc.electrodesPerNode[n] = 0.0;
-            }
-        }
-
-        // Redistribute onto survivors: each pass fills nodes up to
-        // their power headroom (and the electrode ceiling); what no
-        // node can absorb stays shed.
-        const double lin = flow.linPerElectrode.count();
-        const double quad = flow.quadPerElectrode2.count();
-        for (int pass = 0; pass < 4 && shed > kEps; ++pass) {
-            bool progressed = false;
-            for (std::size_t n = 0; n < nodes && shed > kEps; ++n) {
-                if (!eligible[n])
-                    continue;
-                const double e = alloc.electrodesPerNode[n];
-                double room = shed;
-                if (systemConfig.maxElectrodesPerNode > 0.0)
-                    room = std::min(
-                        room,
-                        systemConfig.maxElectrodesPerNode - e);
-                if (exact) {
-                    // Receive-side power: every other live node pays
-                    // lin per moved electrode.
-                    for (std::size_t m = 0; m < nodes; ++m)
-                        if (m != n && alive[m] && lin > 0.0)
-                            room = std::min(room,
-                                            headroom[m] / lin);
-                } else {
-                    room = std::min(
-                        room, powerRoom(lin, quad, e, headroom[n]));
-                }
-                if (room <= kEps)
-                    continue;
-                alloc.electrodesPerNode[n] += room;
-                shed -= room;
-                progressed = true;
-                if (exact) {
-                    for (std::size_t m = 0; m < nodes; ++m)
-                        if (m != n && alive[m])
-                            headroom[m] -= lin * room;
-                } else {
-                    headroom[n] -=
-                        lin * room +
-                        quad * ((e + room) * (e + room) - e * e);
-                }
-            }
-            if (!progressed)
-                break;
-        }
-
-        // Network fit: the surviving senders' serialized round must
-        // still meet the budget; scale the flow down uniformly when
-        // it does not (fewer senders also means less fixed cost, so
-        // this rarely binds).
-        if (systemConfig.wirelessNetwork && flow.network) {
-            const net::RadioSpec &radio = *systemConfig.radio;
-            const auto tx = senders(flow.network->pattern, alive);
-            units::Millis fixed{0.0};
-            double variable_ms = 0.0;
-            for (const std::size_t n : tx) {
-                fixed += wireFixed(radio) +
-                         flow.network->bytesPerNode *
-                             wireTimePerByte(radio);
-                variable_ms += alloc.electrodesPerNode[n] *
-                               flow.network->bytesPerElectrode *
-                               wireTimePerByte(radio).count();
-            }
-            const double budget_ms =
-                (flow.network->roundBudget - fixed).count();
-            if (budget_ms <= 0.0) {
-                for (std::size_t n = 0; n < nodes; ++n)
-                    alloc.electrodesPerNode[n] = 0.0;
-            } else if (variable_ms > budget_ms) {
-                const double scale = budget_ms / variable_ms;
-                for (const std::size_t n : tx)
-                    alloc.electrodesPerNode[n] *= scale;
-            }
-        }
-
-        alloc.totalElectrodes = 0.0;
-        for (const double e : alloc.electrodesPerNode)
-            alloc.totalElectrodes += e;
-        alloc.throughput = electrodesToRate(alloc.totalElectrodes);
-        repaired.totalThroughput += alloc.throughput;
-    }
-
-    repaired.nodePower = allocationPower(
-        systemConfig, flows, repaired.flows, alive, leak_total);
-    return repaired;
-}
-
-void
-Scheduler::greedyRepairCluster(const std::vector<FlowSpec> &flows,
-                               Schedule &repaired,
-                               const std::vector<bool> &alive,
-                               std::size_t cluster) const
-{
-    const std::vector<std::size_t> members =
-        effectivePlan.members(cluster);
-    const double intra_share =
-        effectivePlan.clusterCount() > 1
-            ? 1.0 - effectivePlan.backboneShare
-            : 1.0;
-    const units::Milliwatts leak_total =
-        totalLeak(systemConfig, flows);
-
-    // Power headroom of the surviving members under the current
-    // allocation (cluster-local exact-compare model, matching
-    // allocationPowerClustered without the relay term, which the
-    // greedy pass conservatively ignores).
-    std::vector<double> headroom(members.size(), 0.0);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        const std::size_t n = members[i];
-        if (!alive[n])
+    std::string failure = unschedulable(systemConfig, flows);
+    result.viaIlp = failure.empty();
+    for (std::size_t i = 0; i < how.clusters.size() && failure.empty();
+         ++i) {
+        const std::size_t c = how.clusters[i];
+        const ilp::Status status = solveCluster(
+            flows, priorities, plan, alive, c, out.flows);
+        if (status == ilp::Status::Optimal) {
+            if (how.clampToBase)
+                clampClusterToOriginal(base, out, plan.members(c));
             continue;
-        units::Milliwatts used = leak_total;
-        for (std::size_t f = 0; f < flows.size(); ++f) {
-            const FlowSpec &flow = flows[f];
-            const bool exact = flow.network &&
-                               flow.network->exactCompare &&
-                               systemConfig.wirelessNetwork;
-            const double e =
-                repaired.flows[f].electrodesPerNode[n];
-            if (exact) {
-                double cluster_total = 0.0;
-                for (const std::size_t m : members)
-                    cluster_total +=
-                        repaired.flows[f].electrodesPerNode[m];
-                used += flow.linPerElectrode * (cluster_total - e);
-            } else {
-                used += flow.linPerElectrode * e +
-                        flow.quadPerElectrode2 * e * e;
-            }
         }
-        headroom[i] = (systemConfig.powerCap - used).count();
+        result.viaIlp = false;
+        if (fresh)
+            failure = "cluster " + std::to_string(c) + " sub-ILP " +
+                      failureText(status);
     }
-
-    constexpr double kEps = 1e-9;
-    for (std::size_t f = 0; f < flows.size(); ++f) {
-        const FlowSpec &flow = flows[f];
-        FlowAllocation &alloc = repaired.flows[f];
-        const bool exact = flow.network &&
-                           flow.network->exactCompare &&
-                           systemConfig.wirelessNetwork;
-        std::vector<std::size_t> sub_tx;
-        if (flow.network) {
-            for (const std::size_t n :
-                 senders(flow.network->pattern, alive))
-                if (effectivePlan.clusterOf(n) == cluster)
-                    sub_tx.push_back(n);
-        }
-        std::vector<bool> eligible(members.size(), false);
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            if (exact) {
-                for (const std::size_t n : sub_tx)
-                    if (n == members[i])
-                        eligible[i] = true;
-            } else {
-                eligible[i] = alive[members[i]];
-            }
-        }
-
-        double shed = 0.0;
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            double &e = alloc.electrodesPerNode[members[i]];
-            if (!eligible[i] && e > 0.0) {
-                shed += e;
-                e = 0.0;
-            }
-        }
-
-        const double lin = flow.linPerElectrode.count();
-        const double quad = flow.quadPerElectrode2.count();
-        for (int pass = 0; pass < 4 && shed > kEps; ++pass) {
-            bool progressed = false;
-            for (std::size_t i = 0;
-                 i < members.size() && shed > kEps; ++i) {
-                if (!eligible[i])
-                    continue;
-                const double e =
-                    alloc.electrodesPerNode[members[i]];
-                double room = shed;
-                if (systemConfig.maxElectrodesPerNode > 0.0)
-                    room = std::min(
-                        room,
-                        systemConfig.maxElectrodesPerNode - e);
-                if (exact) {
-                    for (std::size_t j = 0; j < members.size(); ++j)
-                        if (j != i && alive[members[j]] &&
-                            lin > 0.0)
-                            room = std::min(room,
-                                            headroom[j] / lin);
-                } else {
-                    room = std::min(
-                        room, powerRoom(lin, quad, e, headroom[i]));
-                }
-                if (room <= kEps)
-                    continue;
-                alloc.electrodesPerNode[members[i]] += room;
-                shed -= room;
-                progressed = true;
-                if (exact) {
-                    for (std::size_t j = 0; j < members.size(); ++j)
-                        if (j != i && alive[members[j]])
-                            headroom[j] -= lin * room;
-                } else {
-                    headroom[i] -=
-                        lin * room +
-                        quad * ((e + room) * (e + room) - e * e);
-                }
-            }
-            if (!progressed)
-                break;
-        }
-
-        // Intra-cluster network fit against the intra share of the
-        // round budget.
-        if (systemConfig.wirelessNetwork && flow.network &&
-            !sub_tx.empty()) {
-            const net::RadioSpec &radio = *systemConfig.radio;
-            units::Millis fixed{0.0};
-            double variable_ms = 0.0;
-            for (const std::size_t n : sub_tx) {
-                fixed += wireFixed(radio) +
-                         flow.network->bytesPerNode *
-                             wireTimePerByte(radio);
-                variable_ms += alloc.electrodesPerNode[n] *
-                               flow.network->bytesPerElectrode *
-                               wireTimePerByte(radio).count();
-            }
-            const double budget_ms =
-                (intra_share * flow.network->roundBudget - fixed)
-                    .count();
-            if (budget_ms <= 0.0) {
-                for (const std::size_t n : members)
-                    alloc.electrodesPerNode[n] = 0.0;
-            } else if (variable_ms > budget_ms) {
-                const double scale = budget_ms / variable_ms;
-                for (const std::size_t n : sub_tx)
-                    alloc.electrodesPerNode[n] *= scale;
-            }
-        }
-    }
-}
-
-namespace {
-
-/**
- * Cap a re-solved cluster's per-flow totals at the pre-death totals
- * of @p original. A fresh sub-solve does not know how the backbone
- * stitch had scaled the flow fabric-wide; clamping keeps relay
- * payloads monotonically non-increasing, which is what lets a
- * cluster reschedule skip the (fabric-wide) re-stitch.
- */
-void
-clampClusterToOriginal(const Schedule &original, Schedule &repaired,
-                       const std::vector<std::size_t> &members)
-{
-    for (std::size_t f = 0; f < repaired.flows.size(); ++f) {
-        double before = 0.0;
-        double after = 0.0;
-        for (const std::size_t n : members) {
-            before += original.flows[f].electrodesPerNode[n];
-            after += repaired.flows[f].electrodesPerNode[n];
-        }
-        if (after > before + 1e-9 && after > 0.0) {
-            const double scale = before / after;
-            for (const std::size_t n : members)
-                repaired.flows[f].electrodesPerNode[n] *= scale;
-        }
-    }
-}
-
-} // namespace
-
-RescheduleResult
-Scheduler::rescheduleCluster(
-    const std::vector<FlowSpec> &flows,
-    const std::vector<double> &priorities,
-    const Schedule &original,
-    const std::vector<std::size_t> &dead_nodes,
-    std::size_t cluster) const
-{
-    SCALO_ASSERT(flows.size() == priorities.size(),
-                 "one priority per flow");
-    SCALO_EXPECTS(original.feasible);
-    SCALO_EXPECTS(cluster < effectivePlan.clusterCount());
-    const std::size_t nodes = systemConfig.nodes;
-
-    RescheduleResult result;
-    result.deadNodes = dead_nodes;
-    std::sort(result.deadNodes.begin(), result.deadNodes.end());
-    result.deadNodes.erase(std::unique(result.deadNodes.begin(),
-                                       result.deadNodes.end()),
-                           result.deadNodes.end());
-    for ([[maybe_unused]] const std::size_t n : result.deadNodes)
-        SCALO_EXPECTS(effectivePlan.clusterOf(n) == cluster);
-    result.resolvedClusters = {cluster};
-    result.throughputBefore = original.totalThroughput;
-    result.maxNodePowerBefore = maxPower(original.nodePower);
-
-    const std::vector<bool> alive =
-        aliveMask(nodes, result.deadNodes);
-    const std::vector<std::size_t> members =
-        effectivePlan.members(cluster);
-
-    Schedule repaired = original;
-    repaired.reason = "cluster " + std::to_string(cluster) +
-                      " rescheduled after node failure";
-    const Schedule sub =
-        scheduleClusterMasked(flows, priorities, alive, cluster);
-    if (sub.feasible) {
-        result.viaIlp = true;
-        for (std::size_t f = 0; f < flows.size(); ++f)
-            for (const std::size_t n : members)
-                repaired.flows[f].electrodesPerNode[n] =
-                    sub.flows[f].electrodesPerNode[n];
-        clampClusterToOriginal(original, repaired, members);
-    } else {
-        greedyRepairCluster(flows, repaired, alive, cluster);
-    }
-    finalizeSchedule(flows, priorities, repaired, alive);
-
-    result.throughputAfter = repaired.totalThroughput;
-    result.maxNodePowerAfter = maxPower(repaired.nodePower);
-    result.schedule = std::move(repaired);
-    for ([[maybe_unused]] const std::size_t n : result.deadNodes)
-        for ([[maybe_unused]] const FlowAllocation &alloc :
-             result.schedule.flows)
-            SCALO_ENSURES(alloc.electrodesPerNode[n] == 0.0);
-    return result;
-}
-
-RescheduleResult
-Scheduler::restitchBackbone(
-    const std::vector<FlowSpec> &flows,
-    const std::vector<double> &priorities,
-    const Schedule &original,
-    const std::vector<std::size_t> &dead_nodes,
-    const std::vector<std::size_t> &unreachable_clusters) const
-{
-    SCALO_ASSERT(flows.size() == priorities.size(),
-                 "one priority per flow");
-    SCALO_EXPECTS(original.feasible);
-    const std::size_t nodes = systemConfig.nodes;
-
-    RescheduleResult result;
-    result.deadNodes = dead_nodes;
-    std::sort(result.deadNodes.begin(), result.deadNodes.end());
-    result.deadNodes.erase(std::unique(result.deadNodes.begin(),
-                                       result.deadNodes.end()),
-                           result.deadNodes.end());
-    result.throughputBefore = original.totalThroughput;
-    result.maxNodePowerBefore = maxPower(original.nodePower);
-
-    // A heal with nothing dead and nothing unreachable restores the
-    // boot schedule verbatim. Restitching it instead would not be a
-    // no-op: a monolithic boot schedule never went through
-    // stitchBackbone, so re-stitching would scale it down.
-    if (result.deadNodes.empty() && unreachable_clusters.empty()) {
-        result.schedule = original;
-        result.viaIlp = true;
-        result.throughputAfter = original.totalThroughput;
-        result.maxNodePowerAfter = result.maxNodePowerBefore;
+    if (fresh && !result.viaIlp) {
+        result.schedule.reason = std::move(failure);
         return result;
     }
 
-    const std::vector<bool> alive =
-        aliveMask(nodes, result.deadNodes);
-
-    // Clusters owning dead nodes get fresh *unclamped* sub-solves,
-    // reclaiming the capacity the mid-quantum clamp conservatively
-    // gave up; untouched clusters keep their boot allocation.
-    std::vector<std::size_t> affected;
-    for (const std::size_t n : result.deadNodes)
-        affected.push_back(effectivePlan.clusterOf(n));
-    std::sort(affected.begin(), affected.end());
-    affected.erase(std::unique(affected.begin(), affected.end()),
-                   affected.end());
-    result.resolvedClusters = affected;
-
-    Schedule repaired = original;
-    repaired.reason = "backbone re-stitch";
-    result.viaIlp = true;
-    for (const std::size_t c : affected) {
-        const Schedule sub =
-            scheduleClusterMasked(flows, priorities, alive, c);
-        const std::vector<std::size_t> members =
-            effectivePlan.members(c);
-        if (sub.feasible) {
-            for (std::size_t f = 0; f < flows.size(); ++f)
-                for (const std::size_t n : members)
-                    repaired.flows[f].electrodesPerNode[n] =
-                        sub.flows[f].electrodesPerNode[n];
-        } else {
-            result.viaIlp = false;
-            greedyRepairCluster(flows, repaired, alive, c);
-        }
+    out.feasible = true;
+    if (how.stitch) {
+        // The stitch sees only reachable senders: a partitioned
+        // cluster keeps its intra-cluster allocation running but
+        // contributes no backbone traffic until it heals.
+        std::vector<bool> reachable = alive;
+        for (const std::size_t c : how.unreachable)
+            for (const std::size_t n : plan.members(c))
+                reachable[n] = false;
+        stitchBackbone(flows, out, plan, reachable);
     }
+    finalizeSchedule(flows, priorities, out, plan, alive);
 
-    // The stitch sees only reachable senders: a partitioned cluster
-    // keeps its intra-cluster allocation running but contributes no
-    // backbone traffic until it heals.
-    std::vector<bool> reachable = alive;
-    for (const std::size_t c : unreachable_clusters) {
-        SCALO_EXPECTS(c < effectivePlan.clusterCount());
-        for (const std::size_t n : effectivePlan.members(c))
-            reachable[n] = false;
-    }
-    stitchBackbone(flows, repaired, reachable);
-    finalizeSchedule(flows, priorities, repaired, alive);
-
-    result.throughputAfter = repaired.totalThroughput;
-    result.maxNodePowerAfter = maxPower(repaired.nodePower);
-    result.schedule = std::move(repaired);
+    result.throughputAfter = out.totalThroughput;
+    result.maxNodePowerAfter = maxPower(out.nodePower);
+    result.schedule = std::move(out);
+    // Degradation never assigns work or power to a dead node.
     for ([[maybe_unused]] const std::size_t n : result.deadNodes)
         for ([[maybe_unused]] const FlowAllocation &alloc :
              result.schedule.flows)
             SCALO_ENSURES(alloc.electrodesPerNode[n] == 0.0);
+    for ([[maybe_unused]] const units::Milliwatts p :
+         result.schedule.nodePower)
+        SCALO_ENSURES(p.count() >= 0.0);
     return result;
 }
 
@@ -1371,90 +749,84 @@ Scheduler::reschedule(const std::vector<FlowSpec> &flows,
                       const std::vector<std::size_t> &dead_nodes)
     const
 {
-    SCALO_ASSERT(flows.size() == priorities.size(),
-                 "one priority per flow");
     SCALO_EXPECTS(original.feasible);
-    const std::size_t nodes = systemConfig.nodes;
-
-    RescheduleResult result;
-    result.deadNodes = dead_nodes;
-    std::sort(result.deadNodes.begin(), result.deadNodes.end());
-    result.deadNodes.erase(std::unique(result.deadNodes.begin(),
-                                       result.deadNodes.end()),
-                           result.deadNodes.end());
-    result.throughputBefore = original.totalThroughput;
-    result.maxNodePowerBefore = maxPower(original.nodePower);
-
-    const std::vector<bool> alive =
-        aliveMask(nodes, result.deadNodes);
-    const bool any_alive =
-        std::any_of(alive.begin(), alive.end(),
-                    [](bool a) { return a; });
-
-    Schedule repaired;
     if (decomposed()) {
-        // Incremental path: only clusters containing dead nodes are
+        // Incremental: only clusters containing dead nodes are
         // re-solved; everything else keeps its allocation.
-        std::vector<std::size_t> affected;
-        for (const std::size_t n : result.deadNodes)
-            affected.push_back(effectivePlan.clusterOf(n));
-        std::sort(affected.begin(), affected.end());
-        affected.erase(
-            std::unique(affected.begin(), affected.end()),
-            affected.end());
-        result.resolvedClusters = affected;
-
-        repaired = original;
-        repaired.reason = "decomposed reschedule";
-        result.viaIlp = true;
-        for (const std::size_t c : affected) {
-            const Schedule sub =
-                scheduleClusterMasked(flows, priorities, alive, c);
-            const std::vector<std::size_t> members =
-                effectivePlan.members(c);
-            if (sub.feasible) {
-                for (std::size_t f = 0; f < flows.size(); ++f)
-                    for (const std::size_t n : members)
-                        repaired.flows[f].electrodesPerNode[n] =
-                            sub.flows[f].electrodesPerNode[n];
-                clampClusterToOriginal(original, repaired, members);
-            } else {
-                result.viaIlp = false;
-                greedyRepairCluster(flows, repaired, alive, c);
-            }
-        }
-        stitchBackbone(flows, repaired, alive);
-        finalizeSchedule(flows, priorities, repaired, alive);
-    } else {
-        for (std::size_t c = 0;
-             c < effectivePlan.clusterCount(); ++c)
-            result.resolvedClusters.push_back(c);
-        if (any_alive)
-            repaired = scheduleMasked(flows, priorities, alive);
-        if (repaired.feasible) {
-            result.viaIlp = true;
-        } else {
-            repaired =
-                greedyRepair(flows, original, result.deadNodes);
-            // The greedy path has no priorities in scope; weight
-            // here.
-            repaired.weightedThroughput =
-                units::MegabitsPerSecond{0.0};
-            for (std::size_t f = 0; f < flows.size(); ++f)
-                repaired.weightedThroughput +=
-                    priorities[f] * repaired.flows[f].throughput;
-        }
+        return resolve(
+            flows, priorities, original, dead_nodes,
+            {.plan = effectivePlan,
+             .clusters = deadClusters(effectivePlan, dead_nodes),
+             .clampToBase = true});
     }
-    result.throughputAfter = repaired.totalThroughput;
-    result.maxNodePowerAfter = maxPower(repaired.nodePower);
-    result.schedule = std::move(repaired);
-
-    // Degradation never assigns work to a dead node.
-    for ([[maybe_unused]] const std::size_t n : result.deadNodes)
-        for ([[maybe_unused]] const FlowAllocation &alloc :
-             result.schedule.flows)
-            SCALO_ENSURES(alloc.electrodesPerNode[n] == 0.0);
+    // Monolithic: one full, unclamped re-solve of the whole fabric.
+    RescheduleResult result =
+        resolve(flows, priorities, original, dead_nodes,
+                {.plan = flatPlan, .clusters = {0}});
+    result.resolvedClusters = allClusters(effectivePlan);
     return result;
+}
+
+Schedule
+Scheduler::shedDeadNodes(const std::vector<FlowSpec> &flows,
+                         const std::vector<double> &priorities,
+                         const Schedule &original,
+                         const std::vector<std::size_t> &dead_nodes)
+    const
+{
+    SCALO_EXPECTS(original.feasible);
+    return resolve(flows, priorities, original, dead_nodes,
+                   {.plan = decomposed() ? effectivePlan : flatPlan})
+        .schedule;
+}
+
+RescheduleResult
+Scheduler::rescheduleCluster(
+    const std::vector<FlowSpec> &flows,
+    const std::vector<double> &priorities,
+    const Schedule &original,
+    const std::vector<std::size_t> &dead_nodes,
+    std::size_t cluster) const
+{
+    SCALO_EXPECTS(original.feasible);
+    return resolve(flows, priorities, original, dead_nodes,
+                   {.plan = effectivePlan,
+                    .clusters = {cluster},
+                    .clampToBase = true,
+                    .stitch = false});
+}
+
+RescheduleResult
+Scheduler::restitchBackbone(
+    const std::vector<FlowSpec> &flows,
+    const std::vector<double> &priorities,
+    const Schedule &original,
+    const std::vector<std::size_t> &dead_nodes,
+    const std::vector<std::size_t> &unreachable_clusters) const
+{
+    SCALO_EXPECTS(original.feasible);
+    // A heal with nothing dead and nothing unreachable restores the
+    // boot schedule verbatim. Restitching it instead would not be a
+    // no-op: a monolithic boot schedule never went through
+    // stitchBackbone, so re-stitching would scale it down.
+    if (dead_nodes.empty() && unreachable_clusters.empty()) {
+        RescheduleResult result;
+        result.schedule = original;
+        result.viaIlp = true;
+        result.throughputBefore = original.totalThroughput;
+        result.throughputAfter = original.totalThroughput;
+        result.maxNodePowerBefore = maxPower(original.nodePower);
+        result.maxNodePowerAfter = result.maxNodePowerBefore;
+        return result;
+    }
+    // Clusters owning dead nodes get fresh *unclamped* sub-solves,
+    // reclaiming the capacity the mid-quantum clamp conservatively
+    // gave up; untouched clusters keep their boot allocation.
+    return resolve(
+        flows, priorities, original, dead_nodes,
+        {.plan = effectivePlan,
+         .clusters = deadClusters(effectivePlan, dead_nodes),
+         .unreachable = unreachable_clusters});
 }
 
 units::MegabitsPerSecond

@@ -50,12 +50,6 @@ struct SystemConfig
      * spanning every node, the legacy medium).
      */
     net::ClusterPlan clusters;
-    /**
-     * At or below this node count the scheduler keeps the dense
-     * monolithic solve even when a multi-cluster plan is configured,
-     * so small-N schedules are bit-identical to the flat ones.
-     */
-    std::size_t monolithicNodeThreshold = 48;
 };
 
 /** Electrode allocation of one flow across nodes. */
@@ -84,7 +78,11 @@ struct RescheduleResult
 {
     /** The repaired schedule; dead nodes carry zero work and power. */
     Schedule schedule;
-    /** True when the ILP re-solve produced it; false = greedy repair. */
+    /**
+     * True when every re-solve returned Optimal; false when one did
+     * not (integer mode's branch-and-bound budget) and the repair
+     * kept the base allocation of that cluster, dead columns zeroed.
+     */
     bool viaIlp = false;
     std::vector<std::size_t> deadNodes;
     /**
@@ -121,9 +119,11 @@ class Scheduler
                       const std::vector<double> &priorities) const;
 
     /**
-     * Remap @p original's work off @p dead_nodes onto the survivors:
-     * re-solves the ILP restricted to live nodes, and when that is
-     * infeasible falls back to greedyRepair(). Either way the
+     * Remap @p original's work off @p dead_nodes onto the survivors by
+     * re-solving the ILP restricted to live nodes. Monolithic: one
+     * full, unclamped re-solve (resolvedClusters lists every cluster).
+     * Decomposed: the dead nodes' clusters are re-solved, clamped to
+     * their pre-death totals, and the backbone is re-stitched. The
      * returned schedule assigns zero electrodes and zero power to
      * every dead node, and the result reports the degraded
      * throughput/power deltas against the original.
@@ -135,15 +135,17 @@ class Scheduler
                const std::vector<std::size_t> &dead_nodes) const;
 
     /**
-     * The non-ILP repair path: move each flow's dead-node electrodes
-     * onto surviving nodes in proportion to their remaining power
-     * headroom, clipped by the per-node electrode ceiling. Always
-     * returns a schedule (possibly with work shed when nothing fits),
-     * so degradation never depends on solver feasibility.
+     * The repair fallback: what reschedule() returns when none of its
+     * re-solves is Optimal. @p original's allocation stays, with
+     * every dead node's columns zeroed and totals and power
+     * recomputed; no work moves onto a survivor. (Allocating nothing
+     * is always feasible, so only integer mode's branch-and-bound
+     * budget can send a repair here.)
      */
-    Schedule greedyRepair(const std::vector<FlowSpec> &flows,
-                          const Schedule &original,
-                          const std::vector<std::size_t> &dead_nodes)
+    Schedule shedDeadNodes(const std::vector<FlowSpec> &flows,
+                           const std::vector<double> &priorities,
+                           const Schedule &original,
+                           const std::vector<std::size_t> &dead_nodes)
         const;
 
     /** Single-flow maximum aggregate throughput. */
@@ -164,8 +166,9 @@ class Scheduler
 
     /**
      * True when schedule()/reschedule() use the decomposed per-cluster
-     * formulation: a multi-cluster plan above the monolithic
-     * threshold.
+     * formulation: a multi-cluster plan above 48 nodes. At or below
+     * that the dense monolithic solve is kept, so small-N schedules
+     * are bit-identical to the flat ones.
      */
     bool decomposed() const;
 
@@ -182,8 +185,8 @@ class Scheduler
      * Force the decomposed solve: one compact sub-ILP per cluster
      * (intra-cluster share of each flow's round budget), then greedy
      * stitching of the inter-cluster relay traffic into the backbone
-     * share, scaling flows down when the backbone would overrun.
-     * Falls back to the monolithic solve on single-cluster plans.
+     * share, scaling flows down when the backbone would overrun. On a
+     * single-cluster plan this is the monolithic solve.
      */
     Schedule
     scheduleDecomposed(const std::vector<FlowSpec> &flows,
@@ -231,29 +234,49 @@ class Scheduler
         const;
 
   private:
-    Schedule scheduleMasked(const std::vector<FlowSpec> &flows,
-                            const std::vector<double> &priorities,
-                            const std::vector<bool> &alive) const;
+    /** What one resolve() call re-solves, and how it merges. */
+    struct Resolve
+    {
+        /** The partition posed: the flat plan for monolithic solves. */
+        const net::ClusterPlan &plan;
+        /** Clusters whose sub-ILPs are solved, in this order. */
+        std::vector<std::size_t> clusters = {};
+        /** Clusters dropped from the backbone stitch (partitioned). */
+        std::vector<std::size_t> unreachable = {};
+        /** Cap each re-solved cluster at the base's per-flow totals. */
+        bool clampToBase = false;
+        /** Re-stitch the backbone; off leaves other clusters as-is. */
+        bool stitch = true;
+    };
 
     /**
-     * Compact sub-ILP over @p cluster's members: variables and
-     * constraints only for member nodes, the flow round budgets
-     * scaled to the intra-cluster share. Returns full-width
-     * allocations with zeros outside the cluster; nodePower is left
-     * empty (the caller computes it over the merged schedule).
+     * The one scheduling path every entry takes. Starting from
+     * @p base with @p dead_nodes' columns zeroed, solve each of
+     * @p how.clusters' sub-ILPs over the live nodes, merge them in,
+     * stitch the backbone over the reachable nodes, and recompute
+     * totals and power under @p how.plan. An infeasible @p base asks
+     * for a fresh schedule from nothing, which fails as a whole when a
+     * sub-ILP does; a repair instead keeps the base columns of a
+     * cluster whose solve is not Optimal (viaIlp = false).
      */
-    Schedule
-    scheduleClusterMasked(const std::vector<FlowSpec> &flows,
-                          const std::vector<double> &priorities,
-                          const std::vector<bool> &alive,
-                          std::size_t cluster) const;
+    RescheduleResult resolve(const std::vector<FlowSpec> &flows,
+                             const std::vector<double> &priorities,
+                             const Schedule &base,
+                             const std::vector<std::size_t> &dead_nodes,
+                             const Resolve &how) const;
 
-    /** Cluster-restricted greedy repair (same policy as greedyRepair). */
-    void
-    greedyRepairCluster(const std::vector<FlowSpec> &flows,
-                        Schedule &repaired,
-                        const std::vector<bool> &alive,
-                        std::size_t cluster) const;
+    /**
+     * Build and solve @p cluster's compact sub-ILP: variables and
+     * constraints only for its member nodes, the flow round budgets
+     * scaled to the intra-cluster share. On Optimal, writes the
+     * members' columns of @p allocs; otherwise leaves them untouched.
+     */
+    ilp::Status solveCluster(const std::vector<FlowSpec> &flows,
+                             const std::vector<double> &priorities,
+                             const net::ClusterPlan &plan,
+                             const std::vector<bool> &alive,
+                             std::size_t cluster,
+                             std::vector<FlowAllocation> &allocs) const;
 
     /**
      * Greedy backbone stitching: fit each networked flow's per-cluster
@@ -263,18 +286,21 @@ class Scheduler
      */
     void stitchBackbone(const std::vector<FlowSpec> &flows,
                         Schedule &combined,
+                        const net::ClusterPlan &plan,
                         const std::vector<bool> &alive) const;
 
     /** Recompute totals/throughput/nodePower after a merge or stitch. */
     void finalizeSchedule(const std::vector<FlowSpec> &flows,
                           const std::vector<double> &priorities,
                           Schedule &combined,
+                          const net::ClusterPlan &plan,
                           const std::vector<bool> &alive) const;
 
     /** LP or ILP per the config, through the memo. */
     ilp::Solution solve(const ilp::Model &model) const;
 
     SystemConfig systemConfig;
+    net::ClusterPlan flatPlan;
     net::ClusterPlan effectivePlan;
     mutable ilp::SolveMemo solveMemo;
 };

@@ -128,7 +128,7 @@ struct RescheduleEvent
 {
     units::Millis at{0.0};
     std::vector<std::size_t> deadNodes;
-    /** ILP re-solve vs. the greedy repair fallback. */
+    /** Every re-solve was Optimal (see sched::RescheduleResult). */
     bool viaIlp = false;
     /** Clusters whose sub-problems were re-solved. */
     std::vector<std::size_t> resolvedClusters;

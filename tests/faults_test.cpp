@@ -456,8 +456,9 @@ TEST(Reschedule, NeverAssignsWorkToDeadNodes)
     }
 }
 
-TEST(Reschedule, GreedyRepairShedsDeadAndRedistributes)
+TEST(Reschedule, FallbackShedsDeadAndKeepsSurvivors)
 {
+    // The repair a reschedule keeps when its re-solve is not Optimal.
     const sched::Scheduler scheduler(fourNodeSystem());
     const auto flows = deploymentFlows();
     const sched::Schedule original =
@@ -465,17 +466,18 @@ TEST(Reschedule, GreedyRepairShedsDeadAndRedistributes)
     ASSERT_TRUE(original.feasible);
 
     const sched::Schedule repaired =
-        scheduler.greedyRepair(flows, original, {1});
+        scheduler.shedDeadNodes(flows, {1.0, 3.0}, original, {1});
     ASSERT_TRUE(repaired.feasible);
     EXPECT_DOUBLE_EQ(nodeElectrodes(repaired, 1), 0.0);
-    // Survivors keep at least what they had: repair only adds.
+    // Survivors keep at least what they had: the fallback never
+    // takes work away from a live node.
     for (const std::size_t node : {0u, 2u, 3u})
         EXPECT_GE(nodeElectrodes(repaired, node),
                   nodeElectrodes(original, node) - 1e-9);
-    // Repair never worsens the peak power. (The absolute cap is the
-    // ILP's to enforce; its tangent-cut relaxation of the quadratic
-    // term already lets the decoded power sit a hair above it, and
-    // the greedy pass clips against that same decoded headroom.)
+    // The fallback never worsens the peak power. (The absolute cap is
+    // the ILP's to enforce; its tangent-cut relaxation of the
+    // quadratic term already lets the decoded power sit a hair above
+    // it.)
     double original_peak = 0.0;
     for (const units::Milliwatts p : original.nodePower)
         original_peak = std::max(original_peak, p.count());

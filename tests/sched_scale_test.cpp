@@ -5,20 +5,25 @@
  * Covers feasibility at 64 nodes, bit-identity with the monolithic
  * solve below the decomposition threshold, the bounded optimality gap
  * of the decomposition, incremental rescheduling at 256 nodes, the
- * greedy repair path, and the solve memo: one distinct sub-ILP for a
+ * repair fallback, the out-of-range repair id checks, every repair
+ * solving via the ILP on random dead sets, and the solve memo: one distinct sub-ILP for a
  * balanced plan, warm repairs bit-identical to fresh ones, and
  * concurrent repairs on one shared Scheduler.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "scalo/sched/scheduler.hpp"
 #include "scalo/sched/workloads.hpp"
+#include "scalo/util/rng.hpp"
 #include "scalo/util/thread_pool.hpp"
 
 namespace scalo::sched {
@@ -199,8 +204,10 @@ TEST(SchedScale, RescheduleClusterMatchesFullReschedule)
         }
 }
 
-TEST(SchedScale, GreedyRepairShedsDeadWorkAt64)
+TEST(SchedScale, FallbackShedsDeadWorkAt64)
 {
+    // The repair a decomposed reschedule keeps when its re-solves are
+    // not Optimal.
     const Scheduler scheduler(clusteredConfig(64, 8));
     const std::vector<FlowSpec> flows = mixedFlows();
     const Schedule original =
@@ -209,16 +216,112 @@ TEST(SchedScale, GreedyRepairShedsDeadWorkAt64)
 
     const std::vector<std::size_t> dead{3, 12, 40};
     const Schedule repaired =
-        scheduler.greedyRepair(flows, original, dead);
+        scheduler.shedDeadNodes(flows, kPriorities, original, dead);
     ASSERT_TRUE(repaired.feasible);
-    for (const FlowAllocation &alloc : repaired.flows) {
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+        const FlowAllocation &alloc = repaired.flows[f];
         for (const std::size_t n : dead)
             EXPECT_EQ(alloc.electrodesPerNode[n], 0.0);
-        for (const double e : alloc.electrodesPerNode)
-            EXPECT_GE(e, 0.0);
+        for (std::size_t n = 0; n < 64; ++n) {
+            EXPECT_GE(alloc.electrodesPerNode[n], 0.0);
+            if (std::find(dead.begin(), dead.end(), n) == dead.end()) {
+                EXPECT_GE(alloc.electrodesPerNode[n],
+                          original.flows[f].electrodesPerNode[n]);
+            }
+        }
     }
     EXPECT_LE(maxPowerMw(repaired),
               constants::kPowerCap.count() + 1e-6);
+    EXPECT_LE(maxPowerMw(repaired), maxPowerMw(original) + 1e-6);
+}
+
+TEST(SchedScale, RepairRejectsOutOfRangeIds)
+{
+    // Hard checks, live in every build type: an unchecked id would
+    // index past the alive mask or the plan's offsets.
+    for (const std::size_t clusters : {1u, 8u}) {
+        const Scheduler scheduler(clusteredConfig(64, clusters));
+        const std::vector<FlowSpec> flows = mixedFlows();
+        const Schedule original =
+            scheduler.schedule(flows, kPriorities);
+        ASSERT_TRUE(original.feasible);
+        EXPECT_THROW(scheduler.reschedule(flows, kPriorities, original,
+                                          {3, 64}),
+                     std::logic_error);
+        EXPECT_THROW(scheduler.restitchBackbone(flows, kPriorities,
+                                                original, {200}),
+                     std::logic_error);
+        EXPECT_THROW(scheduler.restitchBackbone(flows, kPriorities,
+                                                original, {3},
+                                                {clusters}),
+                     std::logic_error);
+        EXPECT_THROW(scheduler.rescheduleCluster(flows, kPriorities,
+                                                 original, {64}, 0),
+                     std::logic_error);
+        EXPECT_THROW(scheduler.rescheduleCluster(flows, kPriorities,
+                                                 original, {3},
+                                                 clusters),
+                     std::logic_error);
+        EXPECT_THROW(scheduler.shedDeadNodes(flows, kPriorities,
+                                             original, {64}),
+                     std::logic_error);
+    }
+}
+
+TEST(SchedScale, RandomRepairsAllSolveViaIlp)
+{
+    // Allocating nothing is always feasible, so no repair ever needs
+    // the fallback: every entry re-solves via the ILP, whatever dies.
+    struct Shape
+    {
+        std::size_t nodes, clusters;
+    };
+    Rng rng(2023);
+    for (const Shape shape : {Shape{4, 1}, Shape{16, 4}, Shape{64, 8},
+                              Shape{128, 8}}) {
+        const Scheduler scheduler(
+            clusteredConfig(shape.nodes, shape.clusters));
+        const net::ClusterPlan &plan = scheduler.plan();
+        const std::vector<FlowSpec> flows = mixedFlows();
+        const Schedule original =
+            scheduler.schedule(flows, kPriorities);
+        ASSERT_TRUE(original.feasible) << original.reason;
+        for (int trial = 0; trial < 4; ++trial) {
+            std::vector<std::size_t> dead;
+            const std::size_t count = 1 + rng.below(shape.nodes - 1);
+            for (std::size_t i = 0; i < count; ++i)
+                dead.push_back(rng.below(shape.nodes));
+            const std::size_t cluster = rng.below(plan.clusterCount());
+            std::vector<std::size_t> cluster_dead;
+            for (const std::size_t n : plan.members(cluster))
+                if (rng.chance(0.5))
+                    cluster_dead.push_back(n);
+            std::vector<std::size_t> unreachable;
+            for (std::size_t c = 0; c < plan.clusterCount(); ++c)
+                if (rng.chance(0.25))
+                    unreachable.push_back(c);
+
+            const std::string what = std::to_string(shape.nodes) + "/" +
+                                     std::to_string(shape.clusters) +
+                                     " trial " + std::to_string(trial);
+            EXPECT_TRUE(
+                scheduler.reschedule(flows, kPriorities, original, dead)
+                    .viaIlp)
+                << what;
+            EXPECT_TRUE(scheduler
+                            .rescheduleCluster(flows, kPriorities,
+                                               original, cluster_dead,
+                                               cluster)
+                            .viaIlp)
+                << what;
+            EXPECT_TRUE(scheduler
+                            .restitchBackbone(flows, kPriorities,
+                                              original, dead,
+                                              unreachable)
+                            .viaIlp)
+                << what;
+        }
+    }
 }
 
 TEST(SchedScale, Balanced128SolvesOneDistinctSubIlp)
