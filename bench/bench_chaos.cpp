@@ -2,15 +2,18 @@
  * @file
  * Google-benchmark coverage of the fault-handling paths: the cost of
  * an ILP re-solve when a node dies (cold and memo-warm), the
- * heartbeat detector's bookkeeping, one backoff draw, and the
+ * heartbeat detector's bookkeeping, one backoff draw, the
  * end-to-end wall time of a fault-injected simulation run versus the
- * fault-free baseline of the same deployment. Dumped to
+ * fault-free baseline of the same deployment, and the trace layer's
+ * record and export cost on a 128-node chaos run. Dumped to
  * BENCH_chaos.json by ci/check.sh's chaos gate and diffed (report
  * only) with ci/compare_bench.py.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "scalo/net/failure_detector.hpp"
@@ -156,6 +159,80 @@ BM_SimulateWithCrash(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SimulateWithCrash)->Unit(benchmark::kMillisecond);
+
+/**
+ * A 128-node, 8-cluster deployment under a seeded plan with every
+ * fault kind the hierarchical runtime repairs: member crashes (one
+ * reboots), a relay crash, a partition and a backbone BER spike.
+ */
+sim::SystemSimConfig
+chaosConfig(bool record)
+{
+    sim::SystemSimConfig config;
+    config.system.nodes = 128;
+    config.system.maxElectrodesPerNode = constants::kElectrodesPerNode;
+    config.system.clusters = net::ClusterPlan::balanced(128, 8);
+    config.flows = {sched::seizureDetectionFlow(),
+                    sched::hashSimilarityFlow(net::Pattern::AllToAll),
+                    sched::spikeSortingFlow()};
+    config.priorities = {1.0, 3.0, 1.0};
+    static const sched::Schedule schedule = [&config] {
+        const sched::Scheduler scheduler(config.system);
+        return scheduler.schedule(config.flows, config.priorities);
+    }();
+    config.schedule = schedule;
+    config.duration = 200.0_ms;
+    config.seed = 7;
+    config.recordTrace = record;
+    config.faults.crashes.push_back({17, 30.0_ms, 90.0_ms});
+    config.faults.crashes.push_back({50, 110.0_ms});
+    config.faults.relayCrashes.push_back({5, 50.0_ms});
+    config.faults.partitions.push_back({3, 70.0_ms, 130.0_ms});
+    config.faults.backboneBerSpikes.push_back({140.0_ms, 160.0_ms, 2e-4});
+    return config;
+}
+
+/**
+ * The chaos run with the event log off (0) and on (1): the difference
+ * is the price of recording. Counters are tallied in both.
+ */
+void
+BM_TraceRecord(benchmark::State &state)
+{
+    const bool record = state.range(0) != 0;
+    std::size_t events = 0;
+    for (auto _ : state) {
+        sim::SystemSim sim(chaosConfig(record));
+        benchmark::DoNotOptimize(sim.run());
+        events = sim.trace().size();
+    }
+    state.counters["trace_events"] = static_cast<double>(events);
+}
+BENCHMARK(BM_TraceRecord)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/** Streaming the chaos run's recorded trace to a Chrome JSON file. */
+void
+BM_TraceExport(benchmark::State &state)
+{
+    sim::SystemSim sim(chaosConfig(true));
+    sim.run();
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              "scalo_bench_chaos_trace.json")
+                                 .string();
+    for (auto _ : state) {
+        if (!sim.trace().writeChromeJson(path)) {
+            state.SkipWithError("trace export failed");
+            break;
+        }
+    }
+    std::error_code ec;
+    state.counters["trace_bytes"] =
+        static_cast<double>(std::filesystem::file_size(path, ec));
+    state.counters["trace_events"] =
+        static_cast<double>(sim.trace().size());
+    std::filesystem::remove(path, ec);
+}
+BENCHMARK(BM_TraceExport)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

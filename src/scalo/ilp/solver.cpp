@@ -145,7 +145,13 @@ standardize(const Model &model, const std::vector<double> &lowers,
     return sf;
 }
 
-/** Dense simplex tableau with Bland's rule. */
+/**
+ * Dense simplex tableau with Bland's rule, stored as one row-major
+ * buffer. A pivot touches only the rows whose pivot-column entry is
+ * non-zero and, in them, only the columns where the pivot row is
+ * non-zero: the scheduler's rows are sparse, and skipping `x -= f*0`
+ * changes at most the sign of a zero, which no comparison sees.
+ */
 class Tableau
 {
   public:
@@ -163,18 +169,18 @@ class Tableau
             if (basic_hints[r] < 0)
                 ++artificials;
 
-        table.assign(rows, std::vector<double>(
-                               cols + artificials + 1, 0.0));
+        width = static_cast<std::size_t>(totalCols()) + 1;
+        table.assign(rows * width, 0.0);
         basis.assign(rows, 0);
         int next_artificial = cols;
         for (std::size_t r = 0; r < rows; ++r) {
-            for (int c = 0; c < cols; ++c)
-                table[r][c] = a[r][c];
-            table[r].back() = b[r];
+            double *row = rowAt(r);
+            std::copy(a[r].begin(), a[r].begin() + cols, row);
+            row[width - 1] = b[r];
             if (basic_hints[r] >= 0) {
                 basis[r] = basic_hints[r];
             } else {
-                table[r][next_artificial] = 1.0;
+                row[next_artificial] = 1.0;
                 basis[r] = next_artificial++;
             }
         }
@@ -220,7 +226,7 @@ class Tableau
         std::vector<double> x(n, 0.0);
         for (std::size_t r = 0; r < rows; ++r)
             if (basis[r] < n)
-                x[basis[r]] = table[r].back();
+                x[basis[r]] = rhs(r);
         return x;
     }
 
@@ -243,9 +249,10 @@ class Tableau
             const double coef = z[basis[r]];
             if (coef == 0.0)
                 continue;
-            value += coef * table[r].back();
-            for (int j = 0; j < totalCols(); ++j)
-                z[static_cast<std::size_t>(j)] -= coef * table[r][j];
+            value += coef * rhs(r);
+            const double *row = rowAt(r);
+            for (std::size_t j = 0; j < z.size(); ++j)
+                z[j] -= coef * row[j];
         }
 
         for (int iter = 0; iter < 100'000; ++iter) {
@@ -260,13 +267,17 @@ class Tableau
             if (enter < 0)
                 return value;
 
-            // Ratio test with Bland tie-break on basis index.
+            // Ratio test with Bland tie-break on basis index. The
+            // column's non-zero rows are the ones the pivot updates.
             int leave = -1;
             double best_ratio = 0.0;
+            pivotRows.clear();
             for (std::size_t r = 0; r < rows; ++r) {
-                if (table[r][enter] > kEps) {
-                    const double ratio =
-                        table[r].back() / table[r][enter];
+                const double entry = rowAt(r)[enter];
+                if (entry != 0.0)
+                    pivotRows.push_back(r);
+                if (entry > kEps) {
+                    const double ratio = rhs(r) / entry;
                     if (leave < 0 || ratio < best_ratio - kEps ||
                         (ratio < best_ratio + kEps &&
                          basis[r] < basis[static_cast<std::size_t>(
@@ -280,33 +291,43 @@ class Tableau
                 unboundedFlag = true;
                 return value;
             }
-            pivot(static_cast<std::size_t>(leave), enter);
-            // Update reduced costs and value incrementally.
+            const auto leave_row = static_cast<std::size_t>(leave);
+            pivot(leave_row, enter);
+            // Update reduced costs and value incrementally, over the
+            // pivot row's non-zero columns only.
             const double coef = z[enter];
-            value += coef * table[static_cast<std::size_t>(leave)]
-                                .back();
-            for (int j = 0; j < totalCols(); ++j)
-                z[static_cast<std::size_t>(j)] -=
-                    coef * table[static_cast<std::size_t>(leave)][j];
+            const double *row = rowAt(leave_row);
+            value += coef * rhs(leave_row);
+            for (const std::size_t j : pivotColumns)
+                if (j < z.size())
+                    z[j] -= coef * row[j];
         }
         SCALO_PANIC("simplex iteration limit reached");
     }
 
+    /**
+     * Pivot on (@p row, @p col). pivotRows must list every row whose
+     * entry in @p col is non-zero (the rows the pivot changes).
+     */
     void
     pivot(std::size_t row, int col)
     {
-        const double p = table[row][col];
+        double *pivot_row = rowAt(row);
+        const double p = pivot_row[col];
         SCALO_ASSERT(std::abs(p) > kEps, "pivot on ~zero");
-        for (double &v : table[row])
-            v /= p;
-        for (std::size_t r = 0; r < rows; ++r) {
+        pivotColumns.clear();
+        for (std::size_t j = 0; j < width; ++j) {
+            pivot_row[j] /= p;
+            if (pivot_row[j] != 0.0)
+                pivotColumns.push_back(j);
+        }
+        for (const std::size_t r : pivotRows) {
             if (r == row)
                 continue;
-            const double factor = table[r][col];
-            if (factor == 0.0)
-                continue;
-            for (std::size_t j = 0; j < table[r].size(); ++j)
-                table[r][j] -= factor * table[row][j];
+            double *target = rowAt(r);
+            const double factor = target[col];
+            for (const std::size_t j : pivotColumns)
+                target[j] -= factor * pivot_row[j];
         }
         basis[row] = col;
     }
@@ -320,12 +341,16 @@ class Tableau
                 continue;
             int col = -1;
             for (int j = 0; j < cols; ++j) {
-                if (std::abs(table[r][j]) > kEps) {
+                if (std::abs(rowAt(r)[j]) > kEps) {
                     col = j;
                     break;
                 }
             }
             if (col >= 0) {
+                pivotRows.clear();
+                for (std::size_t i = 0; i < rows; ++i)
+                    if (rowAt(i)[col] != 0.0)
+                        pivotRows.push_back(i);
                 pivot(r, col);
             }
             // A fully-zero row is redundant; its artificial stays
@@ -334,12 +359,24 @@ class Tableau
     }
 
     int totalCols() const { return cols + artificials; }
+    double *rowAt(std::size_t r) { return table.data() + r * width; }
+    const double *rowAt(std::size_t r) const
+    {
+        return table.data() + r * width;
+    }
+    double rhs(std::size_t r) const { return rowAt(r)[width - 1]; }
 
     std::size_t rows;
     int cols;
     int artificials = 0;
-    std::vector<std::vector<double>> table;
+    /** Row length: every column plus the right-hand side. */
+    std::size_t width = 0;
+    std::vector<double> table;
     std::vector<int> basis;
+    /** Non-zero columns of the last pivot row (rhs included). */
+    std::vector<std::size_t> pivotColumns;
+    /** Rows with a non-zero entry in the pivot column. */
+    std::vector<std::size_t> pivotRows;
     bool unboundedFlag = false;
 };
 

@@ -81,7 +81,7 @@ NodeModel::submitWindow(std::size_t flow, std::uint64_t window_id,
                 trace->record(
                     simulator->now(), TraceEventKind::WindowDrop,
                     nodeId, stageLane(flow, state.stages.size()),
-                    std::string(state.pipeline.name()), window_id);
+                    state.pipeline.name(), window_id);
             return;
         }
         enterStage(flow, 0, window_id, arrival);
@@ -104,7 +104,7 @@ NodeModel::halt()
                 trace->record(
                     now, TraceEventKind::WindowDrop, nodeId,
                     stageLane(f, state.stages.size()),
-                    std::string(state.pipeline.name()), window_id);
+                    state.pipeline.name(), window_id);
         }
         state.inFlight.clear();
         // Cold servers on reboot: whatever was queued died with the
@@ -169,7 +169,7 @@ NodeModel::enterStage(std::size_t flow, std::size_t stage,
                 units::Micros{static_cast<double>(now)},
                 TraceEventKind::WindowDrop, nodeId,
                 stageLane(flow, state.stages.size()),
-                std::string(state.pipeline.name()), window_id,
+                state.pipeline.name(), window_id,
                 static_cast<double>(start - arrival_us));
         return;
     }
@@ -183,8 +183,8 @@ NodeModel::enterStage(std::size_t flow, std::size_t stage,
     server.busyUs += static_cast<double>(service);
 
     if (trace) {
-        const auto name = std::string(
-            hw::peName(state.pipeline.stages()[stage].kind));
+        const std::string_view name =
+            hw::peName(state.pipeline.stages()[stage].kind);
         trace->record(units::Micros{static_cast<double>(start)},
                       TraceEventKind::StageStart, nodeId,
                       stageLane(flow, stage), name, window_id);
@@ -218,7 +218,7 @@ NodeModel::enterStage(std::size_t flow, std::size_t stage,
                     units::Micros{static_cast<double>(done)},
                     TraceEventKind::WindowDone, nodeId,
                     stageLane(flow, done_state.stages.size()),
-                    std::string(done_state.pipeline.name()),
+                    done_state.pipeline.name(),
                     window_id, static_cast<double>(latency));
             if (done_state.done)
                 done_state.done(flow, window_id);

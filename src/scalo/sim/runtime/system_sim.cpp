@@ -622,7 +622,7 @@ SystemSim::runExchange(Cluster &cluster, std::size_t flow,
                 cluster.trace.record(
                     units::Micros{cursor}, TraceEventKind::PacketTx,
                     static_cast<std::uint32_t>(n), 0,
-                    std::string(spec.name), fragment.sequence,
+                    spec.name, fragment.sequence,
                     static_cast<double>(fragment.wireBytes()));
                 const net::ReceiveResult receipt =
                     cf.channel->transmit(fragment);
@@ -635,14 +635,14 @@ SystemSim::runExchange(Cluster &cluster, std::size_t flow,
                         units::Micros{cursor},
                         TraceEventKind::PacketCorrupt,
                         cluster.mediumId, lane,
-                        std::string(spec.name), fragment.sequence,
+                        spec.name, fragment.sequence,
                         static_cast<double>(fragment.wireBytes()));
                 }
                 if (receipt.accepted()) {
                     cluster.trace.record(
                         units::Micros{cursor},
                         TraceEventKind::PacketRx, cluster.mediumId,
-                        lane, std::string(spec.name),
+                        lane, spec.name,
                         fragment.sequence,
                         static_cast<double>(fragment.wireBytes()));
                     delivered = true;
@@ -655,7 +655,7 @@ SystemSim::runExchange(Cluster &cluster, std::size_t flow,
                     units::Micros{cursor},
                     TraceEventKind::PacketRetransmit,
                     static_cast<std::uint32_t>(n), 0,
-                    std::string(spec.name), fragment.sequence,
+                    spec.name, fragment.sequence,
                     static_cast<double>(fragment.wireBytes()));
             }
             if (!delivered)
@@ -1255,7 +1255,7 @@ SystemSim::runBackboneRound(std::size_t flow,
                 globalTrace.record(
                     units::Micros{cursor}, TraceEventKind::PacketTx,
                     static_cast<std::uint32_t>(entry.relay), 0,
-                    std::string(spec.name), fragment.sequence,
+                    spec.name, fragment.sequence,
                     static_cast<double>(fragment.wireBytes()));
                 const net::ReceiveResult receipt =
                     backboneChannels[flow]->transmit(fragment);
@@ -1268,7 +1268,7 @@ SystemSim::runBackboneRound(std::size_t flow,
                         units::Micros{cursor},
                         TraceEventKind::PacketCorrupt,
                         Trace::kBackboneNode, lane,
-                        std::string(spec.name), fragment.sequence,
+                        spec.name, fragment.sequence,
                         static_cast<double>(fragment.wireBytes()));
                 }
                 if (receipt.accepted()) {
@@ -1276,7 +1276,7 @@ SystemSim::runBackboneRound(std::size_t flow,
                         units::Micros{cursor},
                         TraceEventKind::PacketRx,
                         Trace::kBackboneNode, lane,
-                        std::string(spec.name), fragment.sequence,
+                        spec.name, fragment.sequence,
                         static_cast<double>(fragment.wireBytes()));
                     delivered = true;
                     break;
@@ -1288,7 +1288,7 @@ SystemSim::runBackboneRound(std::size_t flow,
                     units::Micros{cursor},
                     TraceEventKind::PacketRetransmit,
                     static_cast<std::uint32_t>(entry.relay), 0,
-                    std::string(spec.name), fragment.sequence,
+                    spec.name, fragment.sequence,
                     static_cast<double>(fragment.wireBytes()));
             }
             if (!delivered)

@@ -11,15 +11,20 @@
  * Timestamps sit on the same integer-microsecond grid as
  * `sim::Simulator`, so a trace of a fixed-seed run is byte-identical
  * across hosts and runs (asserted in tests/system_sim_test.cpp).
+ *
+ * Recording is cheap enough to leave on for a chaos run: a name is
+ * interned once into a per-`Trace` table and an event is a 40-byte
+ * POD carrying its id; the export streams through one fixed buffer.
  */
 
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "scalo/units/units.hpp"
@@ -60,23 +65,40 @@ inline constexpr std::size_t kTraceEventKinds = 23;
 /** Short stable name of an event kind ("stage-start", ...). */
 std::string_view traceEventName(TraceEventKind kind);
 
-/** One recorded event. */
+/** One recorded event: a fixed-size POD. */
 struct TraceEvent
 {
     /** Timestamp on the simulator's integer-microsecond grid. */
     std::uint64_t timeUs = 0;
-    TraceEventKind kind = TraceEventKind::StageStart;
-    /** Emitting node; Trace::kNetworkNode for the shared medium. */
-    std::uint32_t node = 0;
-    /** Lane within the node (stage/flow lane, export "tid"). */
-    std::uint32_t lane = 0;
-    /** Human label: PE stage, flow, or packet-type name. */
-    std::string name;
     /** Correlation id (window or packet sequence number). */
     std::uint64_t id = 0;
     /** Kind-specific magnitude (bytes for NvmWrite/Packet*). */
     double value = 0.0;
+    /** Emitting node; Trace::kNetworkNode for the shared medium. */
+    std::uint32_t node = 0;
+    /** Lane within the node (stage/flow lane, export "tid"). */
+    std::uint32_t lane = 0;
+    /** Human label (PE stage, flow, or packet-type name), as an
+     *  index into the recording Trace's name table. */
+    std::uint32_t nameId = 0;
+    TraceEventKind kind = TraceEventKind::StageStart;
 };
+
+static_assert(sizeof(TraceEvent) <= 40,
+              "TraceEvent is a compact POD; names live in Trace");
+
+/** Longest spelling formatTraceReal()/formatTraceUint() write. */
+inline constexpr std::size_t kTraceNumberChars = 32;
+
+/**
+ * The Chrome export's spelling of a real: printf's "%.6g" in the C
+ * locale, by std::to_chars. Writes at most kTraceNumberChars chars at
+ * @p out. @return one past the last char written
+ */
+char *formatTraceReal(char *out, double value);
+
+/** The export's spelling of an integer (std::to_string's digits). */
+char *formatTraceUint(char *out, std::uint64_t value);
 
 /** Per-node (or total) event counts, indexed by kind. */
 struct TraceCounters
@@ -106,7 +128,8 @@ struct TraceCounters
 /**
  * The recorder. Append-only; events may be recorded out of timestamp
  * order (an actor schedules a stage's start and finish the moment the
- * window is admitted), so exports stably sort by timestamp.
+ * window is admitted), so exports order events by (timestamp, record
+ * index), which is a stable sort by timestamp.
  */
 class Trace
 {
@@ -133,14 +156,18 @@ class Trace
                    : kMediumBase + static_cast<std::uint32_t>(cluster);
     }
 
-    /** Record one event at @p time (rounded to the µs grid). */
+    /**
+     * Record one event at @p time (rounded to the µs grid). @p name
+     * is copied into the name table on its first use only.
+     */
     void record(units::Micros time, TraceEventKind kind,
                 std::uint32_t node, std::uint32_t lane,
-                std::string name, std::uint64_t id = 0,
+                std::string_view name, std::uint64_t id = 0,
                 double value = 0.0);
 
     /**
-     * Steal @p other's events and fold in its counters. Merging the
+     * Take @p other's events (their name ids remapped into this
+     * trace's table) and fold in its counters. Merging the
      * per-cluster buffers in a fixed cluster order (after the export's
      * stable sort by timestamp) makes the combined trace byte-equal
      * between the serial and parallel engines.
@@ -156,9 +183,8 @@ class Trace
         countersOnly = counters_only;
     }
 
-    const std::vector<TraceEvent> &events() const { return log; }
-    std::size_t size() const { return log.size(); }
-    bool empty() const { return log.empty(); }
+    std::size_t size() const { return eventCount; }
+    bool empty() const { return eventCount == 0; }
     void clear();
 
     /** Event counts of one node. */
@@ -176,13 +202,75 @@ class Trace
      */
     std::string toChromeJson() const;
 
-    /** Write toChromeJson() to @p path. @return success */
+    /**
+     * Stream the toChromeJson() bytes to @p path without building
+     * the document in memory. @return every write and the close
+     * succeeded
+     */
     bool writeChromeJson(const std::string &path) const;
 
   private:
-    std::vector<TraceEvent> log;
-    /** Incremental per-node tallies (kept even when countersOnly). */
-    std::map<std::uint32_t, TraceCounters> tally;
+    /** Receives the export in chunks; returning false fails the
+     *  export, and no later chunk is sent. */
+    using ChunkSink = std::function<bool(std::string_view)>;
+
+    /** The one exporter behind toChromeJson and writeChromeJson. */
+    bool exportChrome(const ChunkSink &sink) const;
+
+    /** Id of @p name in the name table, adding it on first use. */
+    std::uint32_t intern(std::string_view name);
+
+    /** Tally slot of @p node, grown on demand. */
+    TraceCounters &slot(std::uint32_t node);
+
+    /** Heterogeneous hash, so lookups take a string_view. */
+    struct NameHash
+    {
+        using is_transparent = void;
+        std::size_t
+        operator()(std::string_view name) const
+        {
+            return std::hash<std::string_view>{}(name);
+        }
+    };
+
+    /**
+     * Events per log block. A block is reserved once and never grows,
+     * so recording copies no event and append() moves whole blocks.
+     */
+    static constexpr std::size_t kBlockEvents = 1024;
+
+    /**
+     * The event log in record order. A trace fills its own blocks
+     * one after another; append() takes the other trace's blocks as
+     * they are, so a partial block may sit mid-log.
+     */
+    std::vector<std::vector<TraceEvent>> blocks;
+    std::size_t eventCount = 0;
+    /** Interned labels; TraceEvent::nameId indexes this. */
+    std::vector<std::string> names;
+    std::unordered_map<std::string, std::uint32_t, NameHash,
+                       std::equal_to<>>
+        nameIds;
+    /**
+     * Labels recently interned, by address: callers pass the same
+     * long-lived strings over and over, so a hit skips the hash
+     * lookup. A hit still compares the bytes with the table's.
+     */
+    struct RecentName
+    {
+        std::uintptr_t address = 0;
+        std::uint32_t id = 0;
+    };
+    std::array<RecentName, 16> recentNames{};
+    /**
+     * Incremental per-node tallies (kept even when countersOnly):
+     * real nodes by id, cluster media by mediumNode() offset, and the
+     * backbone, the flat network and id 0xffffffff in fixed slots.
+     */
+    std::vector<TraceCounters> nodeTally;
+    std::vector<TraceCounters> mediumTally;
+    std::array<TraceCounters, 3> topTally{};
     bool countersOnly = false;
 };
 

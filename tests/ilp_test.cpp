@@ -2,7 +2,8 @@
  * @file
  * Unit tests for scalo::ilp: the model builder, the two-phase simplex
  * on LPs with known optima, degenerate/infeasible/unbounded cases,
- * branch-and-bound on integer programs (and its node budget), and the
+ * branch-and-bound on integer programs (and its node budget), a
+ * seeded differential oracle against brute-force enumeration, and the
  * exact solve memo's keying.
  */
 
@@ -11,7 +12,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "scalo/ilp/memo.hpp"
 #include "scalo/ilp/model.hpp"
@@ -371,6 +374,108 @@ TEST(SolveMemo, LpAndIlpSolvesAreSeparateEntries)
     // Every status is memoized, the budget-exceeded one included.
     EXPECT_EQ(memo.counts().solved, 4u);
     EXPECT_EQ(memo.counts().reused, 4u);
+}
+
+/** A small random bounded integer model and its exhaustive optimum. */
+struct RandomIlp
+{
+    Model model;
+    bool feasible = false;
+    double best = 0.0;
+};
+
+/**
+ * 2-4 integer variables in 0..6 (each with its own upper bound), 1-4
+ * constraints with small integer coefficients, either sense. All data
+ * is integral, so enumeration is exact.
+ */
+RandomIlp
+randomIlp(std::mt19937_64 &rng)
+{
+    const auto pick = [&rng](int lo, int hi) {
+        return std::uniform_int_distribution<int>(lo, hi)(rng);
+    };
+    RandomIlp out;
+    const int vars = pick(2, 4);
+    std::vector<int> upper(static_cast<std::size_t>(vars));
+    for (int v = 0; v < vars; ++v) {
+        upper[static_cast<std::size_t>(v)] = pick(0, 6);
+        out.model.addVariable("x" + std::to_string(v), 0.0,
+                              upper[static_cast<std::size_t>(v)], true);
+    }
+    const int rows = pick(1, 4);
+    for (int r = 0; r < rows; ++r) {
+        Expr expr;
+        for (int v = 0; v < vars; ++v)
+            if (const int c = pick(-4, 4); c != 0)
+                expr.push_back({v, static_cast<double>(c)});
+        const int kind = pick(0, 5);
+        const Relation rel = kind < 3   ? Relation::LessEq
+                             : kind < 5 ? Relation::GreaterEq
+                                        : Relation::Equal;
+        out.model.addConstraint(expr, rel,
+                                static_cast<double>(pick(-6, 18)));
+    }
+    Expr objective;
+    for (int v = 0; v < vars; ++v)
+        objective.push_back({v, static_cast<double>(pick(-5, 5))});
+    out.model.setObjective(objective, pick(0, 1) == 1);
+
+    // Enumerate every point of the box.
+    std::vector<double> point(static_cast<std::size_t>(vars), 0.0);
+    const auto visit = [&](const auto &self, std::size_t v) -> void {
+        if (v == point.size()) {
+            if (!out.model.feasible(point, 0.0))
+                return;
+            const double value =
+                Model::evaluate(out.model.objective(), point);
+            if (!out.feasible ||
+                (out.model.maximizing() ? value > out.best
+                                        : value < out.best))
+                out.best = value;
+            out.feasible = true;
+            return;
+        }
+        for (int x = 0; x <= upper[v]; ++x) {
+            point[v] = x;
+            self(self, v + 1);
+        }
+    };
+    visit(visit, 0);
+    return out;
+}
+
+// Differential oracle: solveIlp agrees with exhaustive enumeration on
+// the optimum (within 1e-9) and on infeasibility, its point is
+// feasible and attains the reported objective, and a memo answer is
+// bit-equal to the fresh solve.
+TEST(Ilp, MatchesBruteForceOnRandomSmallModels)
+{
+    std::mt19937_64 rng(0x1a7'0c1e);
+    int feasible = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        const RandomIlp ilp = randomIlp(rng);
+        const Solution s = solveIlp(ilp.model);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        if (!ilp.feasible) {
+            EXPECT_EQ(s.status, Status::Infeasible);
+            continue;
+        }
+        ++feasible;
+        ASSERT_EQ(s.status, Status::Optimal);
+        EXPECT_NEAR(s.objective, ilp.best, 1e-9);
+        EXPECT_TRUE(ilp.model.feasible(s.values));
+        EXPECT_NEAR(Model::evaluate(ilp.model.objective(), s.values),
+                    ilp.best, 1e-9);
+
+        SolveMemo memo;
+        memo.solveIlp(ilp.model);
+        EXPECT_EQ(bits(memo.solveIlp(ilp.model)), bits(s));
+        EXPECT_EQ(memo.counts().reused, 1u);
+    }
+    // The generator must exercise both outcomes.
+    EXPECT_GT(feasible, 200);
+    EXPECT_LT(feasible, 1800);
 }
 
 TEST(Model, FeasibilityChecker)

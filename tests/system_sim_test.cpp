@@ -9,6 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "scalo/core/system.hpp"
@@ -246,6 +257,171 @@ TEST(SystemSimTrace, ExportIsWellFormed)
     EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
     EXPECT_NE(json.find("process_name"), std::string::npos);
+}
+
+static_assert(sizeof(TraceEvent) <= 40,
+              "a trace event stays a compact POD");
+
+/** The exporter's spelling of @p value. */
+std::string
+traceReal(double value)
+{
+    char buf[kTraceNumberChars];
+    return {buf, formatTraceReal(buf, value)};
+}
+
+/** The spelling the exporter must keep: printf "%.6g". */
+std::string
+printfReal(double value)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.6g", value);
+    return buf;
+}
+
+// The streaming exporter's number writer spells every real exactly as
+// "%.6g" did: rounding ties at the sixth digit, the fixed/exponent
+// switch at 1e-5 and 1e6, zeros of both signs, denormals, the range
+// ends and non-finite values.
+TEST(TraceFormat, RealMatchesPrintfG)
+{
+    const double edges[] = {
+        0.0, -0.0, 1e-5, 1e-4, 9.999995e-5, 0.1, 1.0, -1.0, 0.5,
+        999999.4, 999999.5, 1e6, -1e6, 123456.5, 123455.5, 1234565.0,
+        2.5e-7, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(), DBL_MIN, DBL_MAX,
+        -DBL_MAX, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN()};
+    for (const double value : edges)
+        EXPECT_EQ(traceReal(value), printfReal(value))
+            << "bits " << std::bit_cast<std::uint64_t>(value);
+
+    // Mixed exponents: a random mantissa scaled across the whole
+    // range, plus raw bit patterns (which include NaN payloads).
+    std::mt19937_64 rng(0x7ace);
+    std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+    std::uniform_int_distribution<int> exponent(-330, 308);
+    for (int i = 0; i < 100'000; ++i) {
+        const double value =
+            i % 4 == 3 ? std::bit_cast<double>(rng())
+                       : mantissa(rng) * std::pow(10.0, exponent(rng));
+        ASSERT_EQ(traceReal(value), printfReal(value))
+            << "bits " << std::bit_cast<std::uint64_t>(value);
+    }
+}
+
+// Integers keep std::to_string's digits across the whole range.
+TEST(TraceFormat, UintMatchesToString)
+{
+    std::mt19937_64 rng(0x1d);
+    std::vector<std::uint64_t> values{
+        0, 1, 9, 10, std::numeric_limits<std::uint32_t>::max(),
+        std::numeric_limits<std::uint64_t>::max()};
+    for (int i = 0; i < 1000; ++i)
+        values.push_back(rng() >> (i % 64));
+    for (const std::uint64_t value : values) {
+        char buf[kTraceNumberChars];
+        EXPECT_EQ(std::string(buf, formatTraceUint(buf, value)),
+                  std::to_string(value));
+    }
+}
+
+// Merging traces remaps interned names: per-cluster buffers that
+// interned the same labels in different orders export exactly as one
+// trace that recorded everything, and the export's order is (time,
+// record index) with names escaped.
+TEST(TraceFormat, AppendRemapsNamesAndKeepsStableOrder)
+{
+    Trace whole, first, second;
+    const auto both = [&](Trace &part, double us, TraceEventKind kind,
+                          std::uint32_t node, const char *name,
+                          double value) {
+        part.record(units::Micros{us}, kind, node, 1, name, 7, value);
+        whole.record(units::Micros{us}, kind, node, 1, name, 7, value);
+    };
+    both(first, 20, TraceEventKind::StageStart, 0, "FFT", 0.0);
+    both(first, 10, TraceEventKind::PacketTx, 1, "a\"b\\c\n", 2.5);
+    both(first, 20, TraceEventKind::StageFinish, 0, "FFT", 0.0);
+    both(second, 10, TraceEventKind::NvmWrite, 2, "a\"b\\c\n", 1e6);
+    both(second, 5, TraceEventKind::PacketRx, Trace::mediumNode(1),
+         "FFT", -0.0);
+    both(second, 20, TraceEventKind::BackboneStart,
+         Trace::kBackboneNode, "FFT", 1.0);
+
+    Trace merged;
+    merged.append(std::move(first));
+    merged.append(std::move(second));
+    EXPECT_TRUE(first.empty());
+    ASSERT_EQ(merged.size(), 6u);
+    EXPECT_EQ(merged.toChromeJson(), whole.toChromeJson());
+    EXPECT_EQ(merged.counters(Trace::mediumNode(1))
+                  [TraceEventKind::PacketRx],
+              1u);
+    EXPECT_EQ(merged.counters(Trace::kBackboneNode).total(), 1u);
+    EXPECT_EQ(merged.totals().total(), 6u);
+
+    const std::string expected =
+        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+        "\"args\":{\"name\":\"node 0\"}},\n"
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+        "\"args\":{\"name\":\"node 1\"}},\n"
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,"
+        "\"args\":{\"name\":\"node 2\"}},\n"
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":4294901761,"
+        "\"tid\":0,\"args\":{\"name\":\"medium 1\"}},\n"
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":4294967293,"
+        "\"tid\":0,\"args\":{\"name\":\"backbone\"}},\n"
+        "{\"name\":\"FFT\",\"cat\":\"packet-rx\",\"ph\":\"i\",\"ts\":5,"
+        "\"pid\":4294901761,\"tid\":1,\"s\":\"t\","
+        "\"args\":{\"id\":7,\"value\":-0}},\n"
+        "{\"name\":\"a\\\"b\\\\c\\n\",\"cat\":\"packet-tx\",\"ph\":\"i\","
+        "\"ts\":10,\"pid\":1,\"tid\":1,\"s\":\"t\","
+        "\"args\":{\"id\":7,\"value\":2.5}},\n"
+        "{\"name\":\"a\\\"b\\\\c\\n\",\"cat\":\"nvm-write\",\"ph\":\"i\","
+        "\"ts\":10,\"pid\":2,\"tid\":1,\"s\":\"t\","
+        "\"args\":{\"id\":7,\"value\":1e+06}},\n"
+        "{\"name\":\"FFT\",\"cat\":\"stage-start\",\"ph\":\"B\",\"ts\":20,"
+        "\"pid\":0,\"tid\":1,\"args\":{\"id\":7,\"value\":0}},\n"
+        "{\"name\":\"FFT\",\"cat\":\"stage-finish\",\"ph\":\"E\","
+        "\"ts\":20,\"pid\":0,\"tid\":1,\"args\":{\"id\":7,\"value\":0}},\n"
+        "{\"name\":\"FFT\",\"cat\":\"backbone-start\",\"ph\":\"B\","
+        "\"ts\":20,\"pid\":4294967293,\"tid\":1,"
+        "\"args\":{\"id\":7,\"value\":1}}\n"
+        "]}\n";
+    EXPECT_EQ(merged.toChromeJson(), expected);
+    EXPECT_EQ(Trace{}.toChromeJson(),
+              "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n");
+}
+
+// The file export streams the same bytes as toChromeJson() and
+// reports a failed write or open instead of dropping it.
+TEST(TraceFormat, FileExportMatchesStringAndReportsFailure)
+{
+    SystemSimConfig config = configFor(
+        sched::hashSimilarityFlow(net::Pattern::AllToAll));
+    config.recordTrace = true;
+    config.duration = 100.0_ms;
+    SystemSim sim(config);
+    sim.run();
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        "scalo_system_sim_test_trace.json";
+    ASSERT_TRUE(sim.trace().writeChromeJson(path.string()));
+    std::ifstream file(path, std::ios::binary);
+    const std::string written{std::istreambuf_iterator<char>(file),
+                              std::istreambuf_iterator<char>()};
+    std::filesystem::remove(path);
+    EXPECT_EQ(written, sim.trace().toChromeJson());
+
+    EXPECT_FALSE(sim.trace().writeChromeJson(
+        (path.parent_path() / "no-such-directory" / "t.json")
+            .string()));
+    if (std::filesystem::exists("/dev/full")) {
+        EXPECT_FALSE(sim.trace().writeChromeJson("/dev/full"));
+    }
 }
 
 } // namespace
