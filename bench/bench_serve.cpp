@@ -1,6 +1,8 @@
 /**
  * @file
- * Google-benchmark coverage of the serving runtime: compiling a
+ * Google-benchmark coverage of the serving runtime: the store layer
+ * under it (SignalStore::range() and candidates() on a full ring,
+ * time-ordered or holding one out-of-order window), compiling a
  * query cold vs. hitting the plan cache, executing a mixed batch
  * through QueryEngine::executeBatch() vs. one query at a time (the
  * cross-query coalescing win), and the end-to-end submit/wait
@@ -16,6 +18,7 @@
 #include <numbers>
 #include <vector>
 
+#include "scalo/app/store.hpp"
 #include "scalo/serve/plan_cache.hpp"
 #include "scalo/serve/query_server.hpp"
 #include "scalo/util/rng.hpp"
@@ -82,6 +85,69 @@ mixedQuery(std::size_t i)
         return app::Query::q3(t0, t1);
     }
 }
+
+/**
+ * A full 8,192-window ring after 1,000 evictions, 4 ms apart. With
+ * @p inverted one retained window is stamped 40 ms early, so the
+ * store is not time-ordered and range()/candidates() take their scan
+ * fallback. Band values come from 16 per band, so a probe's buckets
+ * hold about 1/16 of the ring each.
+ */
+const app::SignalStore &
+layerStore(bool inverted)
+{
+    static const auto build = [](bool with_inversion) {
+        auto store = std::make_unique<app::SignalStore>(8'192);
+        Rng rng(13);
+        for (std::uint64_t w = 0; w < 8'192 + 1'000; ++w) {
+            app::StoredWindow window;
+            window.timestampUs = w * 4'000;
+            if (with_inversion && w == 5'000)
+                window.timestampUs -= 40'000;
+            window.samples.assign(kSamples, 0.0);
+            window.hash =
+                lsh::Signature(rng.below(16) | (rng.below(16) << 8), 2, 8);
+            store->append(std::move(window));
+        }
+        return store;
+    };
+    static const auto ordered = build(false);
+    static const auto fallback = build(true);
+    return inverted ? *fallback : *ordered;
+}
+
+/** 1,024 retained windows in the middle of layerStore()'s ring. */
+constexpr std::uint64_t kSliceT0 = 4'000 * 4'000;
+constexpr std::uint64_t kSliceT1 = kSliceT0 + 1'023 * 4'000;
+
+void
+BM_StoreRange(benchmark::State &state)
+{
+    const app::SignalStore &store = layerStore(state.range(0) != 0);
+    std::size_t returned = 0;
+    for (auto _ : state) {
+        auto windows = store.range(kSliceT0, kSliceT1);
+        returned = windows.size();
+        benchmark::DoNotOptimize(windows);
+    }
+    state.counters["windows"] = static_cast<double>(returned);
+}
+BENCHMARK(BM_StoreRange)->Arg(0)->Arg(1);
+
+void
+BM_StoreCandidates(benchmark::State &state)
+{
+    const app::SignalStore &store = layerStore(state.range(0) != 0);
+    const lsh::Signature probe(3 | (7 << 8), 2, 8);
+    std::size_t returned = 0;
+    for (auto _ : state) {
+        auto windows = store.candidates(probe, kSliceT0, kSliceT1);
+        returned = windows.size();
+        benchmark::DoNotOptimize(windows);
+    }
+    state.counters["windows"] = static_cast<double>(returned);
+}
+BENCHMARK(BM_StoreCandidates)->Arg(0)->Arg(1);
 
 void
 BM_CompileCold(benchmark::State &state)

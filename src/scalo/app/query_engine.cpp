@@ -8,6 +8,7 @@
 #include "scalo/net/radio.hpp"
 #include "scalo/signal/distance.hpp"
 #include "scalo/signal/window_batch.hpp"
+#include "scalo/util/contracts.hpp"
 #include "scalo/util/logging.hpp"
 
 namespace scalo::app {
@@ -42,14 +43,17 @@ dtwMatchTime(std::size_t compared)
 
 QueryEngine::QueryEngine(std::size_t nodes,
                          std::size_t window_samples,
-                         std::uint64_t seed)
+                         std::uint64_t seed,
+                         std::size_t store_windows)
     : windowSamples(window_samples),
       windowHasher(signal::Measure::Dtw, window_samples, seed),
       threads(util::ThreadPool::defaultThreads()),
       pool(std::make_unique<util::ThreadPool>(threads))
 {
     SCALO_ASSERT(nodes >= 1, "need at least one node");
-    stores.resize(nodes);
+    stores.reserve(nodes);
+    for (std::size_t node = 0; node < nodes; ++node)
+        stores.emplace_back(store_windows);
     downNodes = std::make_unique<std::atomic<bool>[]>(nodes);
     for (std::size_t node = 0; node < nodes; ++node)
         downNodes[node].store(false, std::memory_order_relaxed);
@@ -113,6 +117,7 @@ QueryEngine::ingest(NodeId node, std::uint64_t timestamp_us,
                     const std::vector<double> &window,
                     bool seizure_flagged)
 {
+    SCALO_EXPECTS(executionsInFlight() == 0);
     SCALO_ASSERT(node < stores.size(), "node out of range");
     SCALO_ASSERT(window.size() == windowSamples,
                  "window size mismatch");
@@ -129,6 +134,7 @@ void
 QueryEngine::ingestBatch(NodeId node,
                          std::vector<IngestWindow> windows)
 {
+    SCALO_EXPECTS(executionsInFlight() == 0);
     SCALO_ASSERT(node < stores.size(), "node out of range");
     std::vector<const std::vector<double> *> samples;
     samples.reserve(windows.size());
@@ -155,6 +161,12 @@ QueryEngine::ingestBatch(NodeId node,
         stored.seizureFlagged = window.seizureFlagged;
         stores[node].append(std::move(stored));
     }
+}
+
+std::size_t
+QueryEngine::executionsInFlight() const
+{
+    return inFlight->load(std::memory_order_acquire);
 }
 
 const SignalStore &
@@ -374,6 +386,19 @@ QueryEngine::executeBatch(
     const std::vector<const CompiledQuery *> &batch) const
 {
     const auto started = std::chrono::steady_clock::now();
+#if SCALO_CONTRACTS
+    // The stores' binary-searched time slices assume nothing appends
+    // underneath them; ingest() checks this count.
+    struct InFlight
+    {
+        std::atomic<std::size_t> &count;
+        explicit InFlight(std::atomic<std::size_t> &c) : count(c)
+        {
+            count.fetch_add(1, std::memory_order_acq_rel);
+        }
+        ~InFlight() { count.fetch_sub(1, std::memory_order_acq_rel); }
+    } const in_flight(*inFlight);
+#endif
 
     // Queries deduplicated onto one compiled plan (the serve-layer
     // cache hands several tenants the same object) execute once and

@@ -138,11 +138,19 @@ class QueryEngine
      * @param nodes           implant count
      * @param window_samples  analysis window length
      * @param seed            hash-family seed (must match ingest-side)
+     * @param store_windows   ring capacity of every node's store
      */
     QueryEngine(std::size_t nodes, std::size_t window_samples,
-                std::uint64_t seed = 7);
+                std::uint64_t seed = 7,
+                std::size_t store_windows = 8'192);
 
-    /** Ingest one window on one node (hashes + stores it). */
+    /**
+     * Ingest one window on one node (hashes + stores it).
+     *
+     * @pre no executeBatch()/execute() call is in flight on this
+     *      engine: the stores must be quiescent while queries read
+     *      them (checked where contracts are compiled in).
+     */
     void ingest(NodeId node, std::uint64_t timestamp_us,
                 ElectrodeId electrode,
                 const std::vector<double> &window,
@@ -163,7 +171,7 @@ class QueryEngine
      * sweep (one reusable scratch instead of a table allocation per
      * window), then the windows are appended in order. Store state
      * afterwards is identical to the equivalent sequence of
-     * ingest() calls.
+     * ingest() calls. Same quiescence precondition as ingest().
      */
     void ingestBatch(NodeId node, std::vector<IngestWindow> windows);
 
@@ -265,6 +273,13 @@ class QueryEngine
 
     std::size_t nodeCount() const { return stores.size(); }
 
+    /**
+     * executeBatch() calls currently running on this engine, the
+     * count behind ingest()'s quiescence check. Always 0 where
+     * contracts are compiled out: Release builds do not count.
+     */
+    std::size_t executionsInFlight() const;
+
     /** Analysis-window length queries must match. */
     std::size_t windowSampleCount() const { return windowSamples; }
 
@@ -312,6 +327,13 @@ class QueryEngine
     std::size_t threads;
     /** Execution machinery, not logical state; rebuilt on resize. */
     mutable std::unique_ptr<util::ThreadPool> pool;
+    /**
+     * executeBatch() calls in flight, counted only where contracts
+     * are compiled in. The member exists in every build so that the
+     * class layout does not depend on a per-translation-unit macro.
+     */
+    std::unique_ptr<std::atomic<std::size_t>> inFlight =
+        std::make_unique<std::atomic<std::size_t>>(0);
 };
 
 } // namespace scalo::app

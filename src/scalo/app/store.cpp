@@ -67,18 +67,22 @@ SignalStore::unindexWindow(const StoredWindow &window,
 void
 SignalStore::append(StoredWindow window)
 {
-    const std::size_t bytes = window.samples.size() * 2 +
-                              window.hash.sizeBytes() + 16;
     sc.append(hw::Partition::Signals, window.samples.size() * 2);
     sc.append(hw::Partition::Hashes, window.hash.sizeBytes());
     // The SC reorganises one electrode chunk per ~16 windows; amortise
     // its write cost accordingly.
     writeCost += sc.chunkWrite() / 16.0;
-    (void)bytes;
 
+    if (!windows.empty() &&
+        window.timestampUs < windows.back().timestampUs)
+        ++inversions;
     windows.push_back(std::move(window));
     indexWindow(windows.back(), baseSlot + windows.size() - 1);
     while (windows.size() > capacity) {
+        // The oldest window leaves with the pair it forms with its
+        // successor.
+        if (windows[1].timestampUs < windows[0].timestampUs)
+            --inversions;
         unindexWindow(windows.front(), baseSlot);
         windows.pop_front();
         ++baseSlot;
@@ -100,10 +104,40 @@ sortByTimestamp(std::vector<const StoredWindow *> &out)
 
 } // namespace
 
+std::pair<std::size_t, std::size_t>
+SignalStore::timeSlice(std::uint64_t t0_us, std::uint64_t t1_us) const
+{
+    // With t0 > t1 every window from `first` on is past t1, so the
+    // slice comes out empty.
+    const auto first = std::lower_bound(
+        windows.begin(), windows.end(), t0_us,
+        [](const StoredWindow &window, std::uint64_t t) {
+            return window.timestampUs < t;
+        });
+    const auto last = std::upper_bound(
+        first, windows.end(), t1_us,
+        [](std::uint64_t t, const StoredWindow &window) {
+            return t < window.timestampUs;
+        });
+    return {static_cast<std::size_t>(first - windows.begin()),
+            static_cast<std::size_t>(last - windows.begin())};
+}
+
 std::vector<const StoredWindow *>
 SignalStore::range(std::uint64_t t0_us, std::uint64_t t1_us) const
 {
     std::vector<const StoredWindow *> out;
+    if (timeOrdered()) {
+        // Ingest order is the stable timestamp order: the answer is
+        // one contiguous slice of the ring.
+        const auto [lo, hi] = timeSlice(t0_us, t1_us);
+        out.reserve(hi - lo);
+        const auto end = windows.begin() + static_cast<std::ptrdiff_t>(hi);
+        for (auto it = windows.begin() + static_cast<std::ptrdiff_t>(lo);
+             it != end; ++it)
+            out.push_back(&*it);
+        return out;
+    }
     for (const StoredWindow &window : windows)
         if (window.timestampUs >= t0_us &&
             window.timestampUs <= t1_us)
@@ -117,6 +151,46 @@ SignalStore::candidates(const lsh::Signature &probe,
                         std::uint64_t t0_us,
                         std::uint64_t t1_us) const
 {
+    if (timeOrdered()) {
+        // Slots are ingest order, which is the stable timestamp
+        // order here: cut each probed bucket to the slot interval of
+        // [t0, t1] and merge the ascending slices, deduplicating
+        // windows that share more than one band prefix with the
+        // probe.
+        const auto [lo, hi] = timeSlice(t0_us, t1_us);
+        using SlotIt = std::deque<std::uint64_t>::const_iterator;
+        std::vector<std::pair<SlotIt, SlotIt>> slices;
+        std::size_t bound = 0;
+        for (unsigned b = 0; b < probe.bandCount(); ++b) {
+            const auto it = buckets.find(bucketKey(probe, b));
+            if (it == buckets.end())
+                continue;
+            const SlotIt first = std::lower_bound(
+                it->second.begin(), it->second.end(), baseSlot + lo);
+            const SlotIt last = std::lower_bound(
+                first, it->second.end(), baseSlot + hi);
+            if (first == last)
+                continue;
+            slices.emplace_back(first, last);
+            bound += static_cast<std::size_t>(last - first);
+        }
+        std::vector<const StoredWindow *> out;
+        out.reserve(bound);
+        while (!slices.empty()) {
+            std::uint64_t next = *slices.front().first;
+            for (const auto &[at, end] : slices)
+                next = std::min(next, *at);
+            out.push_back(&windows[next - baseSlot]);
+            for (auto &[at, end] : slices)
+                if (*at == next)
+                    ++at;
+            std::erase_if(slices, [](const auto &slice) {
+                return slice.first == slice.second;
+            });
+        }
+        return out;
+    }
+
     // Union of the probe's buckets, deduplicated across bands (a
     // window can share more than one band prefix with the probe).
     std::vector<std::uint64_t> slots;

@@ -15,6 +15,12 @@
  * charges only the windows actually touched. The index follows
  * ring-buffer overwrites: a window's slots are unlinked the moment
  * the ring drops it.
+ *
+ * Ingest is append-only, so as long as no retained window is older
+ * than the one before it the ring is sorted by timestamp, ties in
+ * ingest order. The store counts the retained pairs that break this;
+ * while there are none, a time range is a contiguous slice found by
+ * binary search and queries cost in proportion to their answer.
  */
 
 #pragma once
@@ -22,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "scalo/hw/nvm.hpp"
@@ -61,9 +68,14 @@ class SignalStore
 
     /**
      * Windows captured in [t0, t1] (us) in stable timestamp order:
-     * sorted by timestamp, ties broken by ingest order. (The raw
-     * deque is insertion-ordered, which diverges from timestamp
-     * order once ring overwrites interleave electrodes.)
+     * sorted by timestamp, ties broken by ingest order.
+     *
+     * Cost: O(log n + answer) while the store is timeOrdered() — two
+     * binary searches bound the contiguous slice, which is copied
+     * out as is. Once an out-of-order window is retained the ring no
+     * longer sorts by time, and until that window's older neighbour
+     * is evicted the call falls back to a scan of every retained
+     * window plus a stable sort of the hits.
      */
     std::vector<const StoredWindow *>
     range(std::uint64_t t0_us, std::uint64_t t1_us) const;
@@ -76,6 +88,14 @@ class SignalStore
      * than the bucket prefix). Same stable timestamp order as
      * range(). Windows ingested without a signature are never
      * indexed and never returned here.
+     *
+     * Cost: O(bands * log n + answer) while the store is
+     * timeOrdered() — [t0, t1] becomes a slot interval by the same
+     * two searches as range(), each probed bucket is cut to that
+     * interval by binary search, and the sorted slices are merged;
+     * no timestamp is read to filter and nothing is sorted. With an
+     * out-of-order window retained, every slot of the probed buckets
+     * is read, filtered by timestamp and sorted instead.
      */
     std::vector<const StoredWindow *>
     candidates(const lsh::Signature &probe, std::uint64_t t0_us,
@@ -94,6 +114,25 @@ class SignalStore
 
     /** Stored windows currently retained. */
     std::size_t size() const { return windows.size(); }
+
+    /**
+     * Retained window @p index in ingest order (0 = oldest): the
+     * raw ring, for full scans that must not go through range() or
+     * candidates().
+     */
+    const StoredWindow &
+    at(std::size_t index) const
+    {
+        return windows.at(index);
+    }
+
+    /**
+     * Whether the retained windows are in timestamp order, i.e. no
+     * retained window is older than the one ingested before it. The
+     * fast paths of range() and candidates() run only while this
+     * holds.
+     */
+    bool timeOrdered() const { return inversions == 0; }
 
     /** Total bytes retained (samples at 16 bit + hash + metadata). */
     std::size_t bytesStored() const;
@@ -128,6 +167,13 @@ class SignalStore
     void unindexWindow(const StoredWindow &window,
                        std::uint64_t slot);
 
+    /**
+     * Retained positions [lo, hi) holding the windows of [t0, t1].
+     * @pre timeOrdered()
+     */
+    std::pair<std::size_t, std::size_t>
+    timeSlice(std::uint64_t t0_us, std::uint64_t t1_us) const;
+
     std::size_t capacity;
     std::deque<StoredWindow> windows;
     hw::StorageController sc;
@@ -144,6 +190,13 @@ class SignalStore
         buckets;
     std::uint64_t baseSlot = 0;
     std::size_t indexed = 0;
+
+    /**
+     * Retained adjacent pairs that break timestamp order: slots i
+     * with ts[i] < ts[i - 1], both retained. Zero means the ring is
+     * sorted by timestamp (ties in ingest order).
+     */
+    std::size_t inversions = 0;
 };
 
 } // namespace scalo::app

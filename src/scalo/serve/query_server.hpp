@@ -35,7 +35,10 @@
  *    node, and totals, each with p50/p95/p99.
  *
  * The engine's stores must be quiescent while serving: ingest before
- * start, or stop the server around ingest bursts. Everything else —
+ * start, or stop the server around ingest bursts. Where contracts are
+ * compiled in, QueryEngine::ingest() and ingestBatch() enforce this
+ * for the executions themselves: ingest while an executeBatch() is in
+ * flight is a precondition violation. Everything else —
  * submissions, polls, cancels, node up/down flips — is safe from any
  * thread at any time.
  */

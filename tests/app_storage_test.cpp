@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -144,6 +145,204 @@ TEST(SignalStore, BucketIndexFollowsRingOverwrites)
         }
     }
     EXPECT_EQ(total, 4u);
+}
+
+// ---- time-ordered ring: the bookkeeping behind range()'s and
+// candidates()' binary-searched fast path and their scan fallback ----
+
+StoredWindow
+hashedWindow(std::uint64_t t, std::uint64_t band0, std::uint64_t band1)
+{
+    StoredWindow w = makeWindow(t, false);
+    w.hash = lsh::Signature(band0 | (band1 << 8), 2, 8);
+    return w;
+}
+
+/** range() by definition: full scan in ingest order, stable sort. */
+std::vector<const StoredWindow *>
+scanRange(const SignalStore &store, std::uint64_t t0, std::uint64_t t1)
+{
+    std::vector<const StoredWindow *> out;
+    for (std::size_t i = 0; i < store.size(); ++i)
+        if (store.at(i).timestampUs >= t0 && store.at(i).timestampUs <= t1)
+            out.push_back(&store.at(i));
+    std::stable_sort(out.begin(), out.end(),
+                     [](const StoredWindow *a, const StoredWindow *b) {
+                         return a->timestampUs < b->timestampUs;
+                     });
+    return out;
+}
+
+/** candidates() by definition: range() filtered by a shared band. */
+std::vector<const StoredWindow *>
+scanCandidates(const SignalStore &store, const lsh::Signature &probe,
+               std::uint64_t t0, std::uint64_t t1)
+{
+    std::vector<const StoredWindow *> out;
+    for (const StoredWindow *window : scanRange(store, t0, t1)) {
+        const unsigned bands =
+            std::min(probe.bandCount(), window->hash.bandCount());
+        for (unsigned b = 0; b < bands; ++b) {
+            if (probe.band(b) == window->hash.band(b)) {
+                out.push_back(window);
+                break;
+            }
+        }
+    }
+    return out;
+}
+
+/** range() and candidates() for every probe agree with a scan. */
+void
+expectAnswersMatchScan(const SignalStore &store, std::uint64_t t0,
+                       std::uint64_t t1)
+{
+    EXPECT_EQ(store.range(t0, t1), scanRange(store, t0, t1))
+        << "[" << t0 << ", " << t1 << "]";
+    for (std::uint64_t a = 0; a < 3; ++a) {
+        for (std::uint64_t b = 0; b < 3; ++b) {
+            const lsh::Signature probe(a | (b << 8), 2, 8);
+            EXPECT_EQ(store.candidates(probe, t0, t1),
+                      scanCandidates(store, probe, t0, t1))
+                << "[" << t0 << ", " << t1 << "] probe " << a << "/"
+                << b;
+        }
+    }
+}
+
+TEST(SignalStoreTimeOrder, TiesStaySortedInIngestOrder)
+{
+    SignalStore store(16);
+    for (const std::uint64_t t : {10, 10, 20, 20, 20, 30})
+        store.append(hashedWindow(t, t % 3, 1));
+    EXPECT_TRUE(store.timeOrdered());
+    const auto ties = store.range(20, 20);
+    ASSERT_EQ(ties.size(), 3u);
+    for (std::size_t i = 0; i < ties.size(); ++i)
+        EXPECT_EQ(ties[i], &store.at(2 + i));
+    const auto all = store.range(0, 100);
+    ASSERT_EQ(all.size(), store.size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        EXPECT_EQ(all[i], &store.at(i));
+    expectAnswersMatchScan(store, 10, 20);
+    expectAnswersMatchScan(store, 0, 1'000);
+}
+
+TEST(SignalStoreTimeOrder, OutOfOrderWindowFallsBackUntilEvicted)
+{
+    SignalStore store(4);
+    for (const std::uint64_t t : {10, 20, 30})
+        store.append(hashedWindow(t, t % 3, 0));
+    EXPECT_TRUE(store.timeOrdered());
+    store.append(hashedWindow(15, 0, 0)); // older than 30
+    EXPECT_FALSE(store.timeOrdered());
+    const auto sorted = store.range(0, 100);
+    ASSERT_EQ(sorted.size(), 4u);
+    EXPECT_EQ(sorted[1]->timestampUs, 15u);
+    expectAnswersMatchScan(store, 0, 100);
+    expectAnswersMatchScan(store, 12, 25);
+
+    // Evicting 10 and then 20 leaves the (30, 15) pair retained.
+    store.append(hashedWindow(40, 1, 1));
+    EXPECT_FALSE(store.timeOrdered());
+    store.append(hashedWindow(50, 2, 1));
+    EXPECT_FALSE(store.timeOrdered());
+    expectAnswersMatchScan(store, 0, 100);
+    // Evicting 30, the inversion's older slot, restores the order.
+    store.append(hashedWindow(60, 0, 2));
+    EXPECT_TRUE(store.timeOrdered());
+    EXPECT_EQ(store.at(0).timestampUs, 15u);
+    expectAnswersMatchScan(store, 0, 100);
+    expectAnswersMatchScan(store, 15, 50);
+}
+
+TEST(SignalStoreTimeOrder, CapacityOneIsAlwaysOrdered)
+{
+    SignalStore store(1);
+    for (const std::uint64_t t : {30, 20, 20, 10, 40}) {
+        store.append(hashedWindow(t, 1, 2));
+        EXPECT_TRUE(store.timeOrdered()) << t;
+        ASSERT_EQ(store.size(), 1u);
+        EXPECT_EQ(store.range(t, t).size(), 1u);
+        EXPECT_EQ(store.candidates(lsh::Signature(1 | (0 << 8), 2, 8),
+                                   0, 100)
+                      .size(),
+                  1u);
+        expectAnswersMatchScan(store, 0, 100);
+        expectAnswersMatchScan(store, t + 1, 100);
+    }
+}
+
+TEST(SignalStoreTimeOrder, ManyWrapsKeepSlicesExact)
+{
+    SignalStore store(8);
+    Rng rng(5);
+    std::uint64_t t = 0;
+    for (int i = 0; i < 1'000; ++i) {
+        t += 10 * rng.below(3);
+        store.append(hashedWindow(t, rng.below(3), rng.below(3)));
+        ASSERT_TRUE(store.timeOrdered());
+        if (i % 97 == 0) {
+            expectAnswersMatchScan(store, 0, t);
+            expectAnswersMatchScan(store, t > 40 ? t - 40 : 0, t);
+        }
+    }
+    EXPECT_EQ(store.overwritten(), 992u);
+    EXPECT_EQ(store.indexedWindows(), 8u);
+    expectAnswersMatchScan(store, t - 30, t - 10);
+}
+
+TEST(SignalStoreTimeOrder, UnsignedWindowsAreInRangeButNotCandidates)
+{
+    SignalStore store(16);
+    for (std::uint64_t t = 0; t < 10; ++t) {
+        if (t % 2 == 0)
+            store.append(makeWindow(t * 10, false)); // no signature
+        else
+            store.append(hashedWindow(t * 10, 1, 1));
+    }
+    EXPECT_TRUE(store.timeOrdered());
+    EXPECT_EQ(store.indexedWindows(), 5u);
+    EXPECT_EQ(store.range(0, 100).size(), 10u);
+    const auto hits =
+        store.candidates(lsh::Signature(1 | (1 << 8), 2, 8), 0, 100);
+    ASSERT_EQ(hits.size(), 5u);
+    for (const StoredWindow *window : hits)
+        EXPECT_EQ(window->hash.bandCount(), 2u);
+    expectAnswersMatchScan(store, 15, 75);
+}
+
+TEST(SignalStoreTimeOrder, EmptyAndPointRanges)
+{
+    // The same bounds on an ordered store (fast path) and on one
+    // holding an inversion (fallback).
+    for (const bool ordered : {true, false}) {
+        SignalStore store(32);
+        for (std::uint64_t t = 1; t <= 20; ++t)
+            store.append(hashedWindow(t * 10, t % 3, 0));
+        if (!ordered)
+            store.append(hashedWindow(55, 1, 0));
+        EXPECT_EQ(store.timeOrdered(), ordered);
+        const lsh::Signature probe(1, 2, 8);
+
+        // t0 past every timestamp, t1 before every timestamp.
+        EXPECT_TRUE(store.range(201, 500).empty());
+        EXPECT_TRUE(store.candidates(probe, 201, 500).empty());
+        EXPECT_TRUE(store.range(0, 9).empty());
+        EXPECT_TRUE(store.candidates(probe, 0, 9).empty());
+        // An inverted interval holds nothing.
+        EXPECT_TRUE(store.range(100, 50).empty());
+        EXPECT_TRUE(store.candidates(probe, 100, 50).empty());
+        // t0 == t1: exactly the windows at that instant.
+        const auto point = store.range(70, 70);
+        ASSERT_EQ(point.size(), 1u);
+        EXPECT_EQ(point.front()->timestampUs, 70u);
+        EXPECT_TRUE(store.range(75, 75).empty());
+        for (std::uint64_t t = 0; t <= 210; t += 5)
+            expectAnswersMatchScan(store, t, t);
+        expectAnswersMatchScan(store, 201, 500);
+        expectAnswersMatchScan(store, 0, 9);
+    }
 }
 
 class QueryEngineFixture : public ::testing::Test

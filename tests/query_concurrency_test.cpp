@@ -4,8 +4,10 @@
  * runtime: the thread pool itself, the invariant that execute() is
  * bit-identical at every parallelism (the merge is deterministic),
  * and the property that the bucket index never loses a hash match
- * under random ingest with ring-buffer overwrite churn. This binary
- * is the one to run under -DSCALO_SANITIZE=thread.
+ * under random ingest with ring-buffer overwrite churn, and, where
+ * contracts are compiled in, that ingest overlapping an execution is
+ * caught as a contract violation. This binary is the one to run under
+ * -DSCALO_SANITIZE=thread.
  */
 
 #include <gtest/gtest.h>
@@ -15,10 +17,12 @@
 #include <numbers>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "scalo/app/query_engine.hpp"
 #include "scalo/lsh/hasher.hpp"
+#include "scalo/util/contracts.hpp"
 #include "scalo/util/rng.hpp"
 #include "scalo/util/thread_pool.hpp"
 
@@ -256,6 +260,77 @@ TEST(BucketIndexProperty, CandidatesCoverHashMatches)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------
+// The quiescent-store precondition: ingest must not overlap an
+// execution, whose binary-searched time slices assume the rings do
+// not move underneath them.
+
+struct ContractViolation
+{
+};
+
+void
+throwingHandler(const char *, const char *, const char *, int)
+{
+    throw ContractViolation{};
+}
+
+TEST(QueryEngineContracts, IngestDuringExecutionViolatesQuiescence)
+{
+    // Contracts follow the build type: the check exists only where
+    // the library was compiled with them on (Debug, sanitizers).
+#if SCALO_CONTRACTS
+    const util::ContractHandler previous =
+        util::setContractHandler(&throwingHandler);
+    constexpr std::size_t kSamples = 96;
+    app::QueryEngine engine(1, kSamples, 7);
+    Rng rng(29);
+    const auto window = [&rng] {
+        std::vector<double> samples(kSamples);
+        for (double &v : samples)
+            v = rng.gaussian();
+        return samples;
+    };
+    for (std::uint64_t w = 0; w < 2'000; ++w)
+        engine.ingest(0, w * 4'000, 0, window(), false);
+
+    // Full-range exact DTW over every window keeps one batch in
+    // flight long enough to ingest into; distinct thresholds keep
+    // the plans apart.
+    std::vector<app::Query> slow;
+    for (int q = 0; q < 16; ++q)
+        slow.push_back(app::Query::q2(0, UINT64_MAX, window(),
+                                      1.0 + q));
+
+    for (const bool batched : {false, true}) {
+        EXPECT_EQ(engine.executionsInFlight(), 0u);
+        std::atomic<bool> finished{false};
+        std::thread runner([&] {
+            engine.executeBatch(slow);
+            finished.store(true);
+        });
+        while (engine.executionsInFlight() == 0 && !finished.load())
+            std::this_thread::yield();
+        bool violated = false;
+        try {
+            if (batched)
+                engine.ingestBatch(0, {{8'000'000, 0, window(), false}});
+            else
+                engine.ingest(0, 8'000'000, 0, window(), false);
+        } catch (const ContractViolation &) {
+            violated = true;
+        }
+        runner.join();
+        EXPECT_TRUE(violated) << (batched ? "ingestBatch" : "ingest");
+    }
+
+    // Quiescent again: ingest is allowed.
+    EXPECT_EQ(engine.executionsInFlight(), 0u);
+    EXPECT_NO_THROW(engine.ingest(0, 9'000'000, 0, window(), false));
+    util::setContractHandler(previous);
+#endif
 }
 
 } // namespace
