@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark coverage of the fault-handling paths: the cost of
- * an ILP re-solve when a node dies (cold and memo-warm), the
+ * an ILP re-solve when a node dies (cold and memo-warm), one cold LP
+ * solve of the 128-node deployment's cluster sub-LP, the
  * heartbeat detector's bookkeeping, one backoff draw, the
  * end-to-end wall time of a fault-injected simulation run versus the
  * fault-free baseline of the same deployment, and the trace layer's
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "scalo/ilp/solver.hpp"
 #include "scalo/net/failure_detector.hpp"
 #include "scalo/net/retry.hpp"
 #include "scalo/sched/scheduler.hpp"
@@ -160,6 +162,27 @@ BM_SimulateWithCrash(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateWithCrash)->Unit(benchmark::kMillisecond);
 
+/** The 128-node, 8-cluster system of the chaos runs. */
+sched::SystemConfig
+chaosSystem()
+{
+    sched::SystemConfig system;
+    system.nodes = 128;
+    system.maxElectrodesPerNode = constants::kElectrodesPerNode;
+    system.clusters = net::ClusterPlan::balanced(128, 8);
+    return system;
+}
+
+std::vector<sched::FlowSpec>
+chaosFlows()
+{
+    return {sched::seizureDetectionFlow(),
+            sched::hashSimilarityFlow(net::Pattern::AllToAll),
+            sched::spikeSortingFlow()};
+}
+
+const std::vector<double> kChaosPriorities{1.0, 3.0, 1.0};
+
 /**
  * A 128-node, 8-cluster deployment under a seeded plan with every
  * fault kind the hierarchical runtime repairs: member crashes (one
@@ -169,13 +192,9 @@ sim::SystemSimConfig
 chaosConfig(bool record)
 {
     sim::SystemSimConfig config;
-    config.system.nodes = 128;
-    config.system.maxElectrodesPerNode = constants::kElectrodesPerNode;
-    config.system.clusters = net::ClusterPlan::balanced(128, 8);
-    config.flows = {sched::seizureDetectionFlow(),
-                    sched::hashSimilarityFlow(net::Pattern::AllToAll),
-                    sched::spikeSortingFlow()};
-    config.priorities = {1.0, 3.0, 1.0};
+    config.system = chaosSystem();
+    config.flows = chaosFlows();
+    config.priorities = kChaosPriorities;
     static const sched::Schedule schedule = [&config] {
         const sched::Scheduler scheduler(config.system);
         return scheduler.schedule(config.flows, config.priorities);
@@ -191,6 +210,27 @@ chaosConfig(bool record)
     config.faults.backboneBerSpikes.push_back({140.0_ms, 160.0_ms, 2e-4});
     return config;
 }
+
+/**
+ * One cold LP solve of the chaos deployment's cluster sub-LP (a
+ * balanced plan's clusters pose identical ones), straight through
+ * ilp::solveLp with no memo: the solver layer under the deploy, and
+ * so under fabric_chaos's ready_s.
+ */
+void
+BM_SolveLpCold(benchmark::State &state)
+{
+    const sched::Scheduler scheduler(chaosSystem());
+    const ilp::Model model =
+        scheduler.clusterModel(chaosFlows(), kChaosPriorities, 0);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ilp::solveLp(model));
+    state.counters["variables"] =
+        static_cast<double>(model.variables().size());
+    state.counters["constraints"] =
+        static_cast<double>(model.constraints().size());
+}
+BENCHMARK(BM_SolveLpCold)->Unit(benchmark::kMillisecond);
 
 /**
  * The chaos run with the event log off (0) and on (1): the difference

@@ -6,23 +6,32 @@
  * track BENCH_scaling.json report-only.
  *
  * This binary carries its own main (the grid is a cross product with
- * per-cell feasibility rules, not a timing loop): each cell runs
- * once — the workloads are deterministic and seconds long, so
- * repetition buys nothing — and cells the flat fabric cannot reach
- * (the monolithic ILP past 256 nodes) are omitted rather than timed
- * out. A parity cell per size asserts the parallel engine's trace is
- * byte-identical to the serial reference before any number is
- * reported.
+ * per-cell feasibility rules, not a timing loop). Each timed cell runs
+ * kRepetitions times, every run in a forked child process so that its
+ * peak RSS is its own, and reports the median time with the min and
+ * max as counters: single runs swung by up to ±40 %. Cells the flat
+ * fabric cannot reach (the monolithic ILP past 256 nodes) are omitted
+ * rather than timed out. A parity cell per size asserts the parallel
+ * engine's trace is byte-identical to the serial reference before any
+ * number is reported.
  *
  *     ./bench/bench_scaling [out.json]
  *     ./bench/bench_scaling --help
  */
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <functional>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,26 +68,132 @@ statusKb(const char *key)
     return 0;
 }
 
-/**
- * Reset the process peak-RSS watermark so VmHWM reads as a per-cell
- * peak rather than a whole-run high-water mark. Best-effort: kernels
- * without a writable clear_refs leave VmHWM monotone, which only
- * overstates the peaks.
- */
-void
-resetPeakRss()
+/** Runs of every timed cell; its entry reports their median. */
+constexpr int kRepetitions = 5;
+
+/** What one run of a cell measured. */
+struct Run
 {
-    std::ofstream("/proc/self/clear_refs") << "5";
-}
+    double ms = 0.0;
+    /** Counters, in emission order. */
+    std::vector<std::pair<std::string, double>> counters;
+};
 
 /** One emitted benchmark entry (google-benchmark JSON shape). */
 struct Entry
 {
     std::string name;
     double realMs = 0.0;
+    int iterations = 1;
     /** User counters appended verbatim to the entry. */
     std::vector<std::pair<std::string, double>> counters;
 };
+
+/**
+ * Run @p body in a forked child and return what it measured, with the
+ * child's peak RSS appended as peak_rss_kb; empty if the child failed.
+ * A fresh process gives each run its own heap and its own VmHWM
+ * watermark.
+ */
+std::optional<Run>
+inChild(const std::function<Run()> &body)
+{
+    int fds[2];
+    if (pipe(fds) != 0)
+        return std::nullopt;
+    std::fflush(nullptr);
+    const pid_t pid = fork();
+    if (pid < 0) {
+        close(fds[0]);
+        close(fds[1]);
+        return std::nullopt;
+    }
+    if (pid == 0) {
+        close(fds[0]);
+        Run run = body();
+        run.counters.emplace_back(
+            "peak_rss_kb", static_cast<double>(statusKb("VmHWM:")));
+        std::ostringstream text;
+        text.precision(17);
+        text << run.ms << '\n';
+        for (const auto &[key, value] : run.counters)
+            text << key << ' ' << value << '\n';
+        const std::string bytes = text.str();
+        std::size_t written = 0;
+        while (written < bytes.size()) {
+            const ssize_t n = write(fds[1], bytes.data() + written,
+                                    bytes.size() - written);
+            if (n <= 0)
+                _exit(1);
+            written += static_cast<std::size_t>(n);
+        }
+        _exit(0);
+    }
+    close(fds[1]);
+    std::string bytes;
+    char buffer[4096];
+    ssize_t n = 0;
+    while ((n = read(fds[0], buffer, sizeof buffer)) > 0)
+        bytes.append(buffer, static_cast<std::size_t>(n));
+    close(fds[0]);
+    int status = 0;
+    if (waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+        WEXITSTATUS(status) != 0)
+        return std::nullopt;
+    std::istringstream text(bytes);
+    Run run;
+    text >> run.ms;
+    std::string key;
+    double value = 0.0;
+    while (text >> key >> value)
+        run.counters.emplace_back(key, value);
+    return run;
+}
+
+/**
+ * Run @p body kRepetitions times, each in its own child, into one
+ * entry: the median time, min_ms and max_ms, the first run's counters
+ * (the workloads are deterministic) and the largest peak_rss_kb.
+ */
+std::optional<Entry>
+measure(const std::string &name, const std::function<Run()> &body)
+{
+    std::vector<Run> runs;
+    for (int r = 0; r < kRepetitions; ++r) {
+        std::optional<Run> run = inChild(body);
+        if (!run)
+            return std::nullopt;
+        runs.push_back(std::move(*run));
+    }
+    std::vector<double> ms;
+    for (const Run &run : runs)
+        ms.push_back(run.ms);
+    std::sort(ms.begin(), ms.end());
+    Entry entry;
+    entry.name = name;
+    entry.realMs = ms[ms.size() / 2];
+    entry.iterations = kRepetitions;
+    entry.counters = runs.front().counters;
+    for (auto &[key, value] : entry.counters)
+        if (key == "peak_rss_kb")
+            for (const Run &run : runs)
+                for (const auto &[k, v] : run.counters)
+                    if (k == key)
+                        value = std::max(value, v);
+    entry.counters.emplace_back("min_ms", ms.front());
+    entry.counters.emplace_back("max_ms", ms.back());
+    return entry;
+}
+
+/** The counter @p key of @p entry (0 if absent). */
+double
+counter(const Entry &entry, const std::string &key)
+{
+    for (const auto &[k, v] : entry.counters)
+        if (k == key)
+            return v;
+    return 0.0;
+}
 
 std::vector<sched::FlowSpec>
 mixedFlows()
@@ -117,26 +232,22 @@ simConfigFor(const sched::SystemConfig &system,
     return config;
 }
 
-Entry
-timeSim(const std::string &name, sim::SystemSimConfig config,
-        bool parallel, std::size_t threads)
+Run
+timeSim(sim::SystemSimConfig config, bool parallel, std::size_t threads)
 {
     config.parallel = parallel;
     config.threads = threads;
-    resetPeakRss();
     const Clock::time_point start = Clock::now();
     sim::SystemSim simulator(std::move(config));
     const sim::SystemSimResult result = simulator.run();
-    Entry entry;
-    entry.realMs = elapsedMs(start);
-    entry.name = name;
-    entry.counters = {
+    Run run;
+    run.ms = elapsedMs(start);
+    run.counters = {
         {"events", static_cast<double>(result.eventsExecuted)},
         {"clusters", static_cast<double>(result.clusters)},
         {"ran_parallel", result.ranParallel ? 1.0 : 0.0},
-        {"peak_rss_kb", static_cast<double>(statusKb("VmHWM:"))},
     };
-    return entry;
+    return run;
 }
 
 /** Serial-vs-parallel byte parity of the traced run at this size. */
@@ -195,7 +306,7 @@ writeJson(const std::string &path, const std::vector<Entry> &entries)
         out << "    {\n      \"name\": \"" << entry.name << "\",\n"
             << "      \"run_name\": \"" << entry.name << "\",\n"
             << "      \"run_type\": \"iteration\",\n"
-            << "      \"iterations\": 1,\n"
+            << "      \"iterations\": " << entry.iterations << ",\n"
             << "      \"real_time\": " << jsonNumber(entry.realMs)
             << ",\n      \"cpu_time\": " << jsonNumber(entry.realMs)
             << ",\n      \"time_unit\": \"ms\"";
@@ -211,9 +322,10 @@ constexpr const char *kUsage =
     "usage: bench_scaling [OUT.json] [--benchmark_out=OUT.json]\n"
     "                     [--benchmark_out_format=json]\n"
     "                     [--benchmark_format=console]\n"
-    "Runs the scaling grid once and writes it as google-benchmark\n"
-    "JSON to OUT.json (default: BENCH_scaling.json in the current\n"
-    "directory). Progress goes to stderr. No other option exists.\n";
+    "Runs the scaling grid (each timed cell 5 times, the median\n"
+    "reported) and writes it as google-benchmark JSON to OUT.json\n"
+    "(default: BENCH_scaling.json in the current directory).\n"
+    "Progress goes to stderr. No other option exists.\n";
 
 /** The value of @p arg if it spells @p flag=VALUE, else null. */
 const char *
@@ -283,6 +395,10 @@ main(int argc, char **argv)
     const units::Millis sim_duration{100.0};
 
     std::vector<Entry> entries;
+    const auto fail = [](const std::string &why) {
+        std::fprintf(stderr, "[bench_scaling] %s\n", why.c_str());
+        return 1;
+    };
     for (const std::size_t nodes : sizes) {
         const std::size_t clusters =
             nodes <= 64 ? 4 : nodes / 16;
@@ -293,94 +409,104 @@ main(int argc, char **argv)
         const sched::SystemConfig flat_system = systemFor(nodes, 1);
         const sched::SystemConfig clustered_system =
             systemFor(nodes, clusters);
-        const sched::Scheduler flat_scheduler(flat_system);
-        const sched::Scheduler clustered_scheduler(clustered_system);
+        // Every timed run builds its own Scheduler, so none is
+        // answered from a previous run's solve memo. The schedules
+        // the simulation cells run are solved here, untimed.
+        const bool monolithic = nodes <= monolithic_limit;
+        sched::Schedule flat_schedule;
+        if (monolithic)
+            flat_schedule = sched::Scheduler(flat_system)
+                                .scheduleMonolithic(mixedFlows(),
+                                                    kPriorities);
+        const sched::Schedule clustered_schedule =
+            sched::Scheduler(clustered_system)
+                .scheduleDecomposed(mixedFlows(), kPriorities);
+        if (!clustered_schedule.feasible)
+            return fail(std::to_string(nodes) +
+                        " nodes: decomposed schedule infeasible: " +
+                        clustered_schedule.reason);
 
-        // Scheduling: the dense monolithic solve vs the decomposed
+        std::vector<std::optional<Entry>> cells;
+        // Scheduling: the monolithic solve vs the decomposed
         // per-cluster formulation (forced entry points, so the
         // comparison is meaningful below the auto threshold too).
-        sched::Schedule flat_schedule;
-        if (nodes <= monolithic_limit) {
-            resetPeakRss();
+        if (monolithic)
+            cells.push_back(
+                measure("BM_ScheduleMonolithic" + suffix, [&] {
+                    const Clock::time_point start = Clock::now();
+                    const sched::Scheduler scheduler(flat_system);
+                    const sched::Schedule schedule =
+                        scheduler.scheduleMonolithic(mixedFlows(),
+                                                     kPriorities);
+                    return Run{elapsedMs(start),
+                               {{"feasible",
+                                 schedule.feasible ? 1.0 : 0.0}}};
+                }));
+        cells.push_back(measure("BM_ScheduleDecomposed" + suffix, [&] {
             const Clock::time_point start = Clock::now();
-            flat_schedule = flat_scheduler.scheduleMonolithic(
-                mixedFlows(), kPriorities);
-            Entry entry;
-            entry.name = "BM_ScheduleMonolithic" + suffix;
-            entry.realMs = elapsedMs(start);
-            entry.counters = {
-                {"feasible", flat_schedule.feasible ? 1.0 : 0.0},
-                {"peak_rss_kb",
-                 static_cast<double>(statusKb("VmHWM:"))}};
-            entries.push_back(entry);
-        }
-        resetPeakRss();
-        const Clock::time_point decomposed_start = Clock::now();
-        const sched::Schedule clustered_schedule =
-            clustered_scheduler.scheduleDecomposed(mixedFlows(),
-                                                   kPriorities);
-        {
-            Entry entry;
-            entry.name = "BM_ScheduleDecomposed" + suffix;
-            entry.realMs = elapsedMs(decomposed_start);
+            const sched::Scheduler scheduler(clustered_system);
+            const sched::Schedule schedule =
+                scheduler.scheduleDecomposed(mixedFlows(), kPriorities);
+            const double ms = elapsedMs(start);
             // Sub-ILPs solved vs answered by the scheduler's memo.
             const ilp::SolveMemo::Counts solves =
-                clustered_scheduler.solveCounts();
-            entry.counters = {
-                {"feasible",
-                 clustered_schedule.feasible ? 1.0 : 0.0},
-                {"clusters", static_cast<double>(clusters)},
-                {"subilps_solved", static_cast<double>(solves.solved)},
-                {"subilps_reused", static_cast<double>(solves.reused)},
-                {"peak_rss_kb",
-                 static_cast<double>(statusKb("VmHWM:"))}};
-            entries.push_back(entry);
-        }
-        if (!clustered_schedule.feasible) {
-            std::fprintf(stderr,
-                         "[bench_scaling] %zu nodes: decomposed "
-                         "schedule infeasible: %s\n",
-                         nodes, clustered_schedule.reason.c_str());
-            return 1;
-        }
+                scheduler.solveCounts();
+            return Run{
+                ms,
+                {{"feasible", schedule.feasible ? 1.0 : 0.0},
+                 {"clusters", static_cast<double>(clusters)},
+                 {"subilps_solved", static_cast<double>(solves.solved)},
+                 {"subilps_reused",
+                  static_cast<double>(solves.reused)}}};
+        }));
 
         // Simulation: the flat serialized medium (where its schedule
         // is still computable) and the clustered engine, serial and
         // parallel.
         if (flat_schedule.feasible)
-            entries.push_back(timeSim(
-                "BM_SimFlatSerial" + suffix,
-                simConfigFor(flat_system, flat_schedule,
-                             sim_duration),
-                false, 0));
-        entries.push_back(timeSim(
-            "BM_SimClusteredSerial" + suffix,
-            simConfigFor(clustered_system, clustered_schedule,
-                         sim_duration),
-            false, 0));
-        entries.push_back(timeSim(
-            "BM_SimClusteredParallel" + suffix,
-            simConfigFor(clustered_system, clustered_schedule,
-                         sim_duration),
-            true, 4));
-
-        // Parity: the parallel trace must be byte-identical to the
-        // serial reference before the timings above mean anything.
-        const Clock::time_point parity_start = Clock::now();
-        const bool parity =
-            tracesMatch(clustered_system, clustered_schedule);
-        Entry entry;
-        entry.name = "BM_TraceParity" + suffix;
-        entry.realMs = elapsedMs(parity_start);
-        entry.counters = {{"byte_identical", parity ? 1.0 : 0.0}};
-        entries.push_back(entry);
-        if (!parity) {
-            std::fprintf(stderr,
-                         "[bench_scaling] %zu nodes: serial and "
-                         "parallel traces DIVERGE\n",
-                         nodes);
-            return 1;
+            cells.push_back(measure("BM_SimFlatSerial" + suffix, [&] {
+                return timeSim(simConfigFor(flat_system, flat_schedule,
+                                            sim_duration),
+                               false, 0);
+            }));
+        cells.push_back(measure("BM_SimClusteredSerial" + suffix, [&] {
+            return timeSim(simConfigFor(clustered_system,
+                                        clustered_schedule,
+                                        sim_duration),
+                           false, 0);
+        }));
+        cells.push_back(measure("BM_SimClusteredParallel" + suffix, [&] {
+            return timeSim(simConfigFor(clustered_system,
+                                        clustered_schedule,
+                                        sim_duration),
+                           true, 4);
+        }));
+        for (std::optional<Entry> &cell : cells) {
+            if (!cell)
+                return fail(std::to_string(nodes) +
+                            " nodes: a measured run failed");
+            entries.push_back(std::move(*cell));
         }
+
+        // Parity, once (a check, not a timing): the parallel trace
+        // must be byte-identical to the serial reference before the
+        // timings above mean anything.
+        const std::optional<Run> parity = inChild([&] {
+            const Clock::time_point start = Clock::now();
+            const bool same =
+                tracesMatch(clustered_system, clustered_schedule);
+            return Run{elapsedMs(start),
+                       {{"byte_identical", same ? 1.0 : 0.0}}};
+        });
+        if (!parity)
+            return fail(std::to_string(nodes) +
+                        " nodes: the parity run failed");
+        Entry entry{"BM_TraceParity" + suffix, parity->ms, 1,
+                    parity->counters};
+        entries.push_back(entry);
+        if (counter(entry, "byte_identical") != 1.0)
+            return fail(std::to_string(nodes) +
+                        " nodes: serial and parallel traces DIVERGE");
     }
 
     writeJson(out_path, entries);

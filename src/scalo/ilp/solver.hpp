@@ -1,9 +1,12 @@
 /**
  * @file
- * Exact LP/ILP solver: dense two-phase primal simplex with Bland's
+ * Exact LP/ILP solver: two-phase primal simplex with Bland's
  * anti-cycling rule, plus depth-first branch-and-bound for integer
- * variables. The scheduler's instances are small (tens of variables),
- * so a dense exact method is both sufficient and dependable.
+ * variables. The standard form is built sparsely, row by row, and the
+ * tableau stores only the non-basic columns (a basic column is a unit
+ * vector), so a solve holds rows x (columns - rows) doubles rather
+ * than rows x columns: 0.4 MB instead of 3.4 MB on the scheduler's
+ * 16-node cluster sub-LP (609 rows).
  */
 
 #pragma once
@@ -20,8 +23,10 @@ enum class Status
     Optimal,
     Infeasible,
     Unbounded,
-    /** solveIlp() ran out of branch-and-bound nodes before proving
-     *  an optimum; no solution point is returned. */
+    /** The solver ran out of budget before proving an optimum: a
+     *  simplex phase reached its pivot cap (solveLp() and every
+     *  relaxation of solveIlp()), or solveIlp() ran out of
+     *  branch-and-bound nodes. No solution point is returned. */
     BudgetExceeded,
 };
 
@@ -50,5 +55,16 @@ Solution solveLp(const Model &model);
  *                  Status::BudgetExceeded (never a partial incumbent)
  */
 Solution solveIlp(const Model &model, int max_nodes = kDefaultMaxNodes);
+
+namespace detail {
+
+/**
+ * solveLp() with each simplex phase capped at @p max_pivots pivots
+ * instead of the library's 100,000; a phase that needs more returns
+ * Status::BudgetExceeded. The seam the pivot-cap tests use.
+ */
+Solution solveLpWithPivotCap(const Model &model, int max_pivots);
+
+} // namespace detail
 
 } // namespace scalo::ilp

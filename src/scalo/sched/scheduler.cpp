@@ -185,7 +185,7 @@ std::string
 failureText(ilp::Status status)
 {
     return status == ilp::Status::BudgetExceeded
-               ? "exceeded its branch-and-bound budget"
+               ? "exceeded its solver budget"
                : "infeasible";
 }
 
@@ -342,6 +342,21 @@ Scheduler::scheduleDecomposed(
         .schedule;
 }
 
+ilp::Model
+Scheduler::clusterModel(const std::vector<FlowSpec> &flows,
+                        const std::vector<double> &priorities,
+                        std::size_t cluster) const
+{
+    const net::ClusterPlan &plan =
+        decomposed() ? effectivePlan : flatPlan;
+    SCALO_ASSERT(cluster < plan.clusterCount(), "cluster ", cluster,
+                 " out of range");
+    return buildClusterModel(flows, priorities, plan,
+                             std::vector<bool>(systemConfig.nodes, true),
+                             cluster)
+        .model;
+}
+
 ilp::Status
 Scheduler::solveCluster(const std::vector<FlowSpec> &flows,
                         const std::vector<double> &priorities,
@@ -349,6 +364,27 @@ Scheduler::solveCluster(const std::vector<FlowSpec> &flows,
                         const std::vector<bool> &alive,
                         std::size_t cluster,
                         std::vector<FlowAllocation> &allocs) const
+{
+    const ClusterModel built =
+        buildClusterModel(flows, priorities, plan, alive, cluster);
+    const ilp::Solution solution = solve(built.model);
+    if (!solution.ok())
+        return solution.status;
+    const std::vector<std::size_t> members = plan.members(cluster);
+    for (std::size_t f = 0; f < flows.size(); ++f)
+        for (std::size_t i = 0; i < members.size(); ++i)
+            allocs[f].electrodesPerNode[members[i]] =
+                solution.values[static_cast<std::size_t>(
+                    built.electrodeVars[f][i])];
+    return solution.status;
+}
+
+Scheduler::ClusterModel
+Scheduler::buildClusterModel(const std::vector<FlowSpec> &flows,
+                             const std::vector<double> &priorities,
+                             const net::ClusterPlan &plan,
+                             const std::vector<bool> &alive,
+                             std::size_t cluster) const
 {
     const std::size_t nodes = systemConfig.nodes;
     const std::vector<std::size_t> members = plan.members(cluster);
@@ -543,20 +579,13 @@ Scheduler::solveCluster(const std::vector<FlowSpec> &flows,
     // budget (a negative round budget became `.starved` rows above),
     // or a tangent cut that holds at e = q = 0. So allocating nothing
     // is always feasible, and a solve can only fall short of Optimal
-    // by exceeding integer mode's branch-and-bound budget.
+    // by exceeding a solver budget (the simplex pivot cap, or integer
+    // mode's branch-and-bound nodes).
     SCALO_ENSURES(
         model.feasible(std::vector<double>(model.variables().size())));
 
     model.setObjective(std::move(objective), /*maximize=*/true);
-    const ilp::Solution solution = solve(model);
-    if (!solution.ok())
-        return solution.status;
-    for (std::size_t f = 0; f < flows.size(); ++f)
-        for (std::size_t i = 0; i < members.size(); ++i)
-            allocs[f].electrodesPerNode[members[i]] =
-                solution.values[static_cast<std::size_t>(
-                    e_vars[f][i])];
-    return solution.status;
+    return {std::move(model), std::move(e_vars)};
 }
 
 void

@@ -80,7 +80,8 @@ struct RescheduleResult
     Schedule schedule;
     /**
      * True when every re-solve returned Optimal; false when one did
-     * not (integer mode's branch-and-bound budget) and the repair
+     * not (a solver budget: the simplex pivot cap, or integer mode's
+     * branch-and-bound nodes) and the repair
      * kept the base allocation of that cluster, dead columns zeroed.
      */
     bool viaIlp = false;
@@ -139,8 +140,9 @@ class Scheduler
      * re-solves is Optimal. @p original's allocation stays, with
      * every dead node's columns zeroed and totals and power
      * recomputed; no work moves onto a survivor. (Allocating nothing
-     * is always feasible, so only integer mode's branch-and-bound
-     * budget can send a repair here.)
+     * is always feasible, so only a solver budget, the simplex pivot
+     * cap or integer mode's branch-and-bound nodes, can send a repair
+     * here.)
      */
     Schedule shedDeadNodes(const std::vector<FlowSpec> &flows,
                            const std::vector<double> &priorities,
@@ -160,6 +162,16 @@ class Scheduler
     {
         return solveMemo.counts();
     }
+
+    /**
+     * The sub-ILP schedule() poses for @p cluster with every node
+     * alive: a cluster of plan() when decomposed(), otherwise the
+     * whole-fabric model (cluster 0 of the flat plan). Lets solver
+     * tests and benchmarks run the scheduler's real models.
+     */
+    ilp::Model clusterModel(const std::vector<FlowSpec> &flows,
+                            const std::vector<double> &priorities,
+                            std::size_t cluster) const;
 
     /** The effective partition (flat when none was configured). */
     const net::ClusterPlan &plan() const { return effectivePlan; }
@@ -265,10 +277,27 @@ class Scheduler
                              const std::vector<std::size_t> &dead_nodes,
                              const Resolve &how) const;
 
+    /** A cluster's sub-ILP and its electrode-count variables. */
+    struct ClusterModel
+    {
+        ilp::Model model;
+        /** electrodeVars[f][i]: flow f's count on the i-th member. */
+        std::vector<std::vector<int>> electrodeVars;
+    };
+
     /**
-     * Build and solve @p cluster's compact sub-ILP: variables and
-     * constraints only for its member nodes, the flow round budgets
-     * scaled to the intra-cluster share. On Optimal, writes the
+     * Build @p cluster's compact sub-ILP: variables and constraints
+     * only for its member nodes, the flow round budgets scaled to the
+     * intra-cluster share.
+     */
+    ClusterModel buildClusterModel(const std::vector<FlowSpec> &flows,
+                                   const std::vector<double> &priorities,
+                                   const net::ClusterPlan &plan,
+                                   const std::vector<bool> &alive,
+                                   std::size_t cluster) const;
+
+    /**
+     * Build and solve @p cluster's sub-ILP. On Optimal, writes the
      * members' columns of @p allocs; otherwise leaves them untouched.
      */
     ilp::Status solveCluster(const std::vector<FlowSpec> &flows,

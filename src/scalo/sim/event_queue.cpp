@@ -50,22 +50,30 @@ Simulator::atOwned(units::Micros at, Owner owner, Action action)
                  ticks, " < ", nowTicks);
     std::uint32_t epoch = 0;
     if (owner != 0) {
-        OwnerState &state = owners[owner];
+        OwnerState &state = stateOf(owner);
         epoch = state.epoch;
         ++state.pendingEvents;
     }
-    queue.push({ticks, nextSequence++, std::move(action), owner,
-                epoch});
+    queue.push_back({ticks, nextSequence++, std::move(action), owner,
+                     epoch});
+    std::push_heap(queue.begin(), queue.end(), Later{});
+}
+
+Simulator::OwnerState &
+Simulator::stateOf(Owner owner)
+{
+    if (owner >= owners.size())
+        owners.resize(static_cast<std::size_t>(owner) + 1);
+    return owners[owner];
 }
 
 std::size_t
 Simulator::cancelOwned(Owner owner)
 {
     SCALO_EXPECTS(owner != 0);
-    const auto found = owners.find(owner);
-    if (found == owners.end())
+    if (owner >= owners.size())
         return 0;
-    OwnerState &state = found->second;
+    OwnerState &state = owners[owner];
     const std::size_t cancelled = state.pendingEvents;
     // Bump the epoch: queued events of the old epoch are skipped at
     // pop time (lazy deletion keeps the heap intact).
@@ -78,11 +86,9 @@ Simulator::cancelOwned(Owner owner)
 bool
 Simulator::stale(const Event &event) const
 {
-    if (event.owner == 0)
-        return false;
-    const auto found = owners.find(event.owner);
-    return found == owners.end() ||
-           found->second.epoch != event.epoch;
+    // An owned event's owner has a table entry from atOwned() on.
+    return event.owner != 0 &&
+           owners[event.owner].epoch != event.epoch;
 }
 
 std::size_t
@@ -90,9 +96,10 @@ Simulator::run(units::Micros until)
 {
     const std::uint64_t until_ticks = toTicks(until);
     std::size_t executed = 0;
-    while (!queue.empty() && queue.top().time <= until_ticks) {
-        Event event = queue.top();
-        queue.pop();
+    while (!queue.empty() && queue.front().time <= until_ticks) {
+        std::pop_heap(queue.begin(), queue.end(), Later{});
+        Event event = std::move(queue.back());
+        queue.pop_back();
         if (stale(event)) {
             // Cancelled: drop without executing or advancing time.
             SCALO_ASSERT(cancelledQueued > 0,
@@ -121,8 +128,7 @@ Simulator::run(units::Micros until)
 void
 Simulator::clear()
 {
-    while (!queue.empty())
-        queue.pop();
+    queue.clear();
     owners.clear();
     cancelledQueued = 0;
 }

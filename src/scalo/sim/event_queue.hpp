@@ -13,8 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <queue>
 #include <vector>
 
 #include "scalo/units/units.hpp"
@@ -31,7 +29,9 @@ class Simulator
      * Actor tag for cancellable events; 0 is "unowned" (never
      * cancelled). A crashed node's pending events must not execute
      * against its dead model, so actors schedule continuations under
-     * their owner id and `cancelOwned` retires them wholesale.
+     * their owner id and `cancelOwned` retires them wholesale. Owner
+     * ids index a table grown to the largest id seen, so keep them
+     * dense (nodes use their id + 1).
      */
     using Owner = std::uint32_t;
 
@@ -112,12 +112,21 @@ class Simulator
     };
 
     bool stale(const Event &event) const;
+    /** @p owner's state, growing the table on first use. */
+    OwnerState &stateOf(Owner owner);
 
     std::uint64_t nowTicks = 0;
     std::uint64_t nextSequence = 0;
     std::size_t cancelledQueued = 0;
-    std::priority_queue<Event, std::vector<Event>, Later> queue;
-    std::map<Owner, OwnerState> owners;
+    /**
+     * Binary heap under Later (std::push_heap/pop_heap), so the next
+     * event can be moved out rather than copied from a const top().
+     * (time, sequence) is a strict total order: the pop order is the
+     * same as any other heap's.
+     */
+    std::vector<Event> queue;
+    /** Indexed by owner id (owner 0, unowned, is never looked up). */
+    std::vector<OwnerState> owners;
 };
 
 } // namespace scalo::sim
