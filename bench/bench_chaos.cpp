@@ -5,8 +5,9 @@
  * solve of the 128-node deployment's cluster sub-LP, the
  * heartbeat detector's bookkeeping, one backoff draw, the
  * end-to-end wall time of a fault-injected simulation run versus the
- * fault-free baseline of the same deployment, and the trace layer's
- * record and export cost on a 128-node chaos run. Dumped to
+ * fault-free baseline of the same deployment, the 128-node chaos run
+ * serial and at the default width, and the trace layer's record and
+ * export cost on it (the export serial and at the default width). Dumped to
  * BENCH_chaos.json by ci/check.sh's chaos gate and diffed (report
  * only) with ci/compare_bench.py.
  */
@@ -250,17 +251,38 @@ BM_TraceRecord(benchmark::State &state)
 }
 BENCHMARK(BM_TraceRecord)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/** Streaming the chaos run's recorded trace to a Chrome JSON file. */
+/**
+ * The recorded chaos run (a traced simulate) at one runner (/1) and
+ * at the default width, one per CPU (/0): the engine's speed-up.
+ */
+void
+BM_SimulateChaos(benchmark::State &state)
+{
+    const auto threads = static_cast<std::size_t>(state.range(0));
+    for (auto _ : state) {
+        sim::SystemSimConfig config = chaosConfig(true);
+        config.threads = threads;
+        sim::SystemSim sim(std::move(config));
+        benchmark::DoNotOptimize(sim.run());
+    }
+}
+BENCHMARK(BM_SimulateChaos)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+
+/**
+ * Streaming the chaos run's recorded trace to a Chrome JSON file, at
+ * one runner (/1) and at the default width, one per CPU (/0).
+ */
 void
 BM_TraceExport(benchmark::State &state)
 {
+    const auto threads = static_cast<std::size_t>(state.range(0));
     sim::SystemSim sim(chaosConfig(true));
     sim.run();
     const std::string path = (std::filesystem::temp_directory_path() /
                               "scalo_bench_chaos_trace.json")
                                  .string();
     for (auto _ : state) {
-        if (!sim.trace().writeChromeJson(path)) {
+        if (!sim.trace().writeChromeJson(path, threads)) {
             state.SkipWithError("trace export failed");
             break;
         }
@@ -272,7 +294,7 @@ BM_TraceExport(benchmark::State &state)
         static_cast<double>(sim.trace().size());
     std::filesystem::remove(path, ec);
 }
-BENCHMARK(BM_TraceExport)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceExport)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * The hierarchical-fabric scaling curve: nodes x {schedule time, sim
- * wall time, peak memory} for {flat, clustered} x {serial, parallel},
- * emitted as google-benchmark-format JSON so ci/compare_bench.py can
- * track BENCH_scaling.json report-only.
+ * wall time, peak memory} for {flat, clustered} x {serial, default
+ * width}, emitted as google-benchmark-format JSON so
+ * ci/compare_bench.py can track BENCH_scaling.json report-only.
  *
  * This binary carries its own main (the grid is a cross product with
  * per-cell feasibility rules, not a timing loop). Each timed cell runs
@@ -11,11 +11,11 @@
  * peak RSS is its own, and reports the median time with the min and
  * max as counters: single runs swung by up to ±40 %. Cells the flat
  * fabric cannot reach (the monolithic ILP past 256 nodes) are omitted
- * rather than timed out. A parity cell per size asserts the parallel
- * engine's trace is byte-identical to the serial reference before any
- * number is reported.
+ * rather than timed out. A parity cell per size asserts the default
+ * width's trace is byte-identical to the serial reference before any
+ * number is reported. The JSON goes to stdout unless a path is given.
  *
- *     ./bench/bench_scaling [out.json]
+ *     ./bench/bench_scaling [out.json] > scaling.json
  *     ./bench/bench_scaling --help
  */
 
@@ -30,6 +30,7 @@
 #include <ctime>
 #include <fstream>
 #include <functional>
+#include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -232,10 +233,10 @@ simConfigFor(const sched::SystemConfig &system,
     return config;
 }
 
+/** Time one run at @p threads runners (0 = one per CPU). */
 Run
-timeSim(sim::SystemSimConfig config, bool parallel, std::size_t threads)
+timeSim(sim::SystemSimConfig config, std::size_t threads)
 {
-    config.parallel = parallel;
     config.threads = threads;
     const Clock::time_point start = Clock::now();
     sim::SystemSim simulator(std::move(config));
@@ -250,23 +251,23 @@ timeSim(sim::SystemSimConfig config, bool parallel, std::size_t threads)
     return run;
 }
 
-/** Serial-vs-parallel byte parity of the traced run at this size. */
+/** Serial-vs-default-width byte parity of the traced run (the
+ *  simulation and the export) at this size. */
 bool
 tracesMatch(const sched::SystemConfig &system,
             const sched::Schedule &schedule)
 {
-    const auto trace_of = [&](bool parallel) {
+    const auto trace_of = [&](std::size_t threads) {
         sim::SystemSimConfig config =
             simConfigFor(system, schedule, 50.0_ms);
         config.recordTrace = true;
-        config.parallel = parallel;
-        config.threads = 4;
+        config.threads = threads;
         sim::SystemSim simulator(std::move(config));
         simulator.run();
-        return simulator.trace().toChromeJson();
+        return simulator.trace().toChromeJson(threads);
     };
-    const std::string serial = trace_of(false);
-    return !serial.empty() && serial == trace_of(true);
+    const std::string serial = trace_of(1);
+    return !serial.empty() && serial == trace_of(0);
 }
 
 std::string
@@ -278,9 +279,8 @@ jsonNumber(double value)
 }
 
 void
-writeJson(const std::string &path, const std::vector<Entry> &entries)
+writeJson(std::ostream &out, const std::vector<Entry> &entries)
 {
-    std::ofstream out(path, std::ios::binary);
     const std::time_t now = std::time(nullptr);
     char stamp[64];
     std::strftime(stamp, sizeof stamp, "%FT%T%z",
@@ -323,8 +323,8 @@ constexpr const char *kUsage =
     "                     [--benchmark_out_format=json]\n"
     "                     [--benchmark_format=console]\n"
     "Runs the scaling grid (each timed cell 5 times, the median\n"
-    "reported) and writes it as google-benchmark JSON to OUT.json\n"
-    "(default: BENCH_scaling.json in the current directory).\n"
+    "reported) and writes it as google-benchmark JSON to OUT.json,\n"
+    "or to stdout when no path is given.\n"
     "Progress goes to stderr. No other option exists.\n";
 
 /** The value of @p arg if it spells @p flag=VALUE, else null. */
@@ -347,7 +347,7 @@ main(int argc, char **argv)
     // like the gbench ones. Anything else is refused before any work
     // runs or any file is written: a typo must not silently run the
     // whole grid or name the output file.
-    std::string out_path = "BENCH_scaling.json";
+    std::string out_path;
     bool have_path = false;
     const auto refuse = [](const std::string &why) {
         std::fprintf(stderr, "bench_scaling: %s\n%s", why.c_str(),
@@ -461,25 +461,26 @@ main(int argc, char **argv)
         }));
 
         // Simulation: the flat serialized medium (where its schedule
-        // is still computable) and the clustered engine, serial and
-        // parallel.
+        // is still computable) and the clustered engine, serial
+        // (threads = 1) and at the default width (one runner per
+        // CPU, capped at the cluster count).
         if (flat_schedule.feasible)
             cells.push_back(measure("BM_SimFlatSerial" + suffix, [&] {
                 return timeSim(simConfigFor(flat_system, flat_schedule,
                                             sim_duration),
-                               false, 0);
+                               1);
             }));
         cells.push_back(measure("BM_SimClusteredSerial" + suffix, [&] {
             return timeSim(simConfigFor(clustered_system,
                                         clustered_schedule,
                                         sim_duration),
-                           false, 0);
+                           1);
         }));
         cells.push_back(measure("BM_SimClusteredParallel" + suffix, [&] {
             return timeSim(simConfigFor(clustered_system,
                                         clustered_schedule,
                                         sim_duration),
-                           true, 4);
+                           0);
         }));
         for (std::optional<Entry> &cell : cells) {
             if (!cell)
@@ -509,7 +510,14 @@ main(int argc, char **argv)
                         " nodes: serial and parallel traces DIVERGE");
     }
 
-    writeJson(out_path, entries);
+    if (!have_path) {
+        writeJson(std::cout, entries);
+        return std::cout.flush() ? 0 : 1;
+    }
+    std::ofstream out(out_path, std::ios::binary);
+    writeJson(out, entries);
+    if (!out.flush())
+        return fail("cannot write " + out_path);
     std::fprintf(stderr, "[bench_scaling] wrote %s\n",
                  out_path.c_str());
     return 0;

@@ -414,7 +414,7 @@ gate_scale() {
             --target example_simulate_system || return 1
     local trace="$dir/scale_trace.json"
     "$dir/examples/example_simulate_system" \
-        --nodes 256 --clusters 16 --parallel \
+        --nodes 256 --clusters 16 --threads 0 \
         --duration 100 --trace "$trace" || return 1
     python3 "$ROOT/ci/validate_trace.py" "$trace" \
         --require-cluster-events || return 1
@@ -431,9 +431,10 @@ gate_scale() {
 }
 
 gate_tsan() {
-    # The discrete-event engine is single-threaded by design; TSan
-    # guards the boundary where the parallel query runtime and the
-    # simulation runtime share process state.
+    # TSan guards the boundaries where threads share state: the
+    # thread pool's spin-then-block hand-offs, the trace export's
+    # chunk ring (TraceFormat), and the parallel query runtime next
+    # to the simulation runtime.
     local dir="$ROOT/build-ci-tsan"
     cmake -S "$ROOT" -B "$dir" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -442,7 +443,7 @@ gate_tsan() {
             --target sim_test system_sim_test \
             query_concurrency_test serve_concurrency_test &&
         ctest --test-dir "$dir" -j "$JOBS" --output-on-failure \
-            -R '^(Simulator|SystemSim|NetworkErrors|HashEncodingDelay|NetworkBerDelay|ThreadPool|ShardedQuery|QueryServer)'
+            -R '^(Simulator|SystemSim|TraceFormat|NetworkErrors|HashEncodingDelay|NetworkBerDelay|ThreadPool|ShardedQuery|QueryServer)'
 }
 
 gate_serve() {
@@ -494,7 +495,7 @@ gate_chaos() {
         note "chaos scenario: $scenario"
         trace="$dir/chaos_${scenario}.json"
         "$dir/examples/example_chaos_run" \
-            --scenario "$scenario" --duration 2400 \
+            --scenario "$scenario" --duration 2400 --threads 1 \
             --trace "$trace" || return 1
         # Every scenario marks at least its injection instants, so
         # fault events are required across the whole matrix.
@@ -510,18 +511,19 @@ gate_chaos() {
         note "chaos scenario: $scenario"
         trace="$dir/chaos_${scenario}.json"
         "$dir/examples/example_chaos_run" \
-            --scenario "$scenario" --duration 2400 \
+            --scenario "$scenario" --duration 2400 --threads 1 \
             --trace "$trace" || return 1
         python3 "$ROOT/ci/validate_trace.py" "$trace" \
             --require-fault-events --require-cluster-events ||
             return 1
     done
 
-    # The same scenarios on the parallel engine, under TSan: relay
-    # failover and backbone re-stitching run at the quantum barriers
-    # where worker threads hand off to the coordinator, exactly the
-    # boundary the race detector must clear. Traces must come out
-    # byte-identical to the serial runs above.
+    # The same scenarios at the default width (one runner per CPU for
+    # the engine and the export), under TSan: relay failover and
+    # backbone re-stitching run at the quantum barriers where worker
+    # threads hand off to the coordinator, exactly the boundary the
+    # race detector must clear. Traces must come out byte-identical
+    # to the serial (--threads 1) runs above.
     local tsan="$ROOT/build-ci-tsan"
     cmake -S "$ROOT" -B "$tsan" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -532,7 +534,7 @@ gate_chaos() {
         note "chaos scenario (parallel, TSan): $scenario"
         trace="$tsan/chaos_${scenario}_parallel.json"
         "$tsan/examples/example_chaos_run" \
-            --scenario "$scenario" --duration 2400 --parallel \
+            --scenario "$scenario" --duration 2400 --threads 0 \
             --trace "$trace" || return 1
         cmp "$dir/chaos_${scenario}.json" "$trace" || {
             echo "chaos: $scenario parallel trace differs from" \

@@ -24,7 +24,13 @@ Checks the structural invariants Perfetto / chrome://tracing rely on:
     backbone schedule means the failover path silently lost the
     repair step
 
+The input is read one line at a time, in bounded memory: the exporter
+writes the array's opening line, then one event per line (each but the
+last followed by a comma), then a closing "]}" line. A document in any
+other layout, a malformed line, or a trace cut short fails.
+
 Usage: ci/validate_trace.py trace.json [--require-fault-events]
+       [--require-cluster-events]
 
 --require-fault-events additionally fails when the trace holds no
 fault-framework events at all; the chaos CI gate passes it so a
@@ -91,40 +97,56 @@ def fail(message: str) -> "int":
     return 1
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("trace")
-    parser.add_argument(
-        "--require-fault-events",
-        action="store_true",
-        help="fail unless at least one fault-framework event "
-        "(fault-injected/node-down/node-recovered/"
-        "exchange-timed-out/resched) is present",
-    )
-    parser.add_argument(
-        "--require-cluster-events",
-        action="store_true",
-        help="fail unless at least one hierarchical-fabric event "
-        "(relay-forward/backbone-start/backbone-finish) is "
-        "present (the trace must come from a multi-cluster run)",
-    )
-    args = parser.parse_args()
+class TraceError(Exception):
+    """The document is not a well-formed exported trace."""
 
-    with open(args.trace, encoding="utf-8") as handle:
+
+def trace_events(handle):
+    """Yield the events of the exporter's one-event-per-line layout.
+
+    Raises TraceError on a malformed line, a document in another
+    layout, or a trace cut short before its closing line.
+    """
+    header = handle.readline()
+    try:
+        top = json.loads(header.rstrip("\n") + "]}")
+    except json.JSONDecodeError as err:
+        raise TraceError(f"not valid JSON: line 1: {err}") from None
+    if not isinstance(top, dict) or top.get("traceEvents") != []:
+        raise TraceError("top level must be an object with 'traceEvents'")
+    expect_more = None  # None until the first event
+    for number, line in enumerate(handle, start=2):
+        text = line.rstrip("\n")
+        if text == "]}":
+            if expect_more:
+                raise TraceError(
+                    f"not valid JSON: line {number}: ']' after ','"
+                )
+            for rest in handle:
+                if rest.strip():
+                    raise TraceError(
+                        f"not valid JSON: extra data after line {number}"
+                    )
+            return
+        if expect_more is False:
+            raise TraceError(
+                f"not valid JSON: line {number}: no ',' before it"
+            )
+        expect_more = text.endswith(",")
         try:
-            doc = json.load(handle)
+            event = json.loads(text[:-1] if expect_more else text)
         except json.JSONDecodeError as err:
-            return fail(f"not valid JSON: {err}")
+            raise TraceError(
+                f"not valid JSON: line {number}: {err}"
+            ) from None
+        if not isinstance(event, dict):
+            raise TraceError(f"line {number} is not an event object")
+        yield event
+    raise TraceError("truncated: no closing ']}' line")
 
-    if not isinstance(doc, dict) or "traceEvents" not in doc:
-        return fail("top level must be an object with 'traceEvents'")
-    events = doc["traceEvents"]
-    if not isinstance(events, list) or not events:
-        return fail("'traceEvents' must be a non-empty array")
 
+def validate(events, args) -> int:
+    """Check every invariant over an iterable of events."""
     last_ts = None
     open_spans = {}  # (pid, tid) -> depth
     counts = {}
@@ -132,6 +154,7 @@ def main() -> int:
     node_dead = {}  # pid -> currently declared dead
     cluster_partitioned = {}  # args.id (cluster) -> currently severed
     failovers_pending_restitch = 0
+    index = -1
     for index, event in enumerate(events):
         for field in ("name", "ph", "pid", "tid"):
             if field not in event:
@@ -200,6 +223,8 @@ def main() -> int:
         elif cat == "backbone-restitch":
             failovers_pending_restitch = 0
 
+    if index < 0:
+        return fail("'traceEvents' must be a non-empty array")
     unbalanced = {lane: d for lane, d in open_spans.items() if d}
     if unbalanced:
         return fail(f"unclosed duration spans: {unbalanced}")
@@ -237,9 +262,40 @@ def main() -> int:
     if still_severed:
         extra += f" still-partitioned-clusters={still_severed}"
     print(
-        f"validate_trace: OK: {len(events)} events ({summary}){extra}"
+        f"validate_trace: OK: {index + 1} events ({summary}){extra}"
     )
     return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("trace")
+    parser.add_argument(
+        "--require-fault-events",
+        action="store_true",
+        help="fail unless at least one fault-framework event "
+        "(fault-injected/node-down/node-recovered/"
+        "exchange-timed-out/resched) is present",
+    )
+    parser.add_argument(
+        "--require-cluster-events",
+        action="store_true",
+        help="fail unless at least one hierarchical-fabric event "
+        "(relay-forward/backbone-start/backbone-finish) is "
+        "present (the trace must come from a multi-cluster run)",
+    )
+    args = parser.parse_args()
+
+    with open(args.trace, encoding="utf-8") as handle:
+        try:
+            return validate(trace_events(handle), args)
+        except TraceError as err:
+            return fail(str(err))
+        except UnicodeDecodeError as err:
+            return fail(f"not valid JSON: {err}")
 
 
 if __name__ == "__main__":

@@ -25,8 +25,10 @@
  * watch the FaultInjected / NodeDown / Resched (plus, on the
  * hierarchical scenarios, RelayFailover / PartitionStart /
  * PartitionHealed / BackboneRestitch) markers next to the pipeline
- * lanes in Perfetto (ui.perfetto.dev). `--parallel` runs the
- * multi-cluster engine on worker threads (trace stays identical).
+ * lanes in Perfetto (ui.perfetto.dev). `--threads N` sets the
+ * runners of the multi-cluster engine and of the trace export (0, the
+ * default, is one per CPU; 1 is serial); the trace bytes stay the
+ * same at every width.
  *
  * Exits 0 only when the scenario's degradation contract held (e.g.
  * the crash was detected, work was rescheduled, and windows kept
@@ -34,6 +36,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -49,7 +52,8 @@ struct Args
     std::string scenario = "crash";
     std::string tracePath;
     double durationMs = 6000.0;
-    bool parallel = false;
+    /** Simulation and export runners: 0 = one per CPU, 1 = serial. */
+    std::size_t threads = 0;
 };
 
 bool
@@ -64,8 +68,14 @@ parseArgs(int argc, char **argv, Args &args)
         } else if (std::strcmp(argv[i], "--duration") == 0 &&
                    i + 1 < argc) {
             args.durationMs = std::atof(argv[++i]);
-        } else if (std::strcmp(argv[i], "--parallel") == 0) {
-            args.parallel = true;
+        } else if (std::strcmp(argv[i], "--threads") == 0 &&
+                   i + 1 < argc) {
+            char *end = nullptr;
+            const unsigned long threads =
+                std::strtoul(argv[++i], &end, 10);
+            if (*end != '\0' || argv[i][0] == '-')
+                return false;
+            args.threads = static_cast<std::size_t>(threads);
         } else {
             return false;
         }
@@ -143,7 +153,7 @@ main(int argc, char **argv)
                     "crash|dropout|nvm|throttle|combined|partition|"
                     "relay-crash] "
                     "[--duration ms] [--trace out.json] "
-                    "[--parallel]\n",
+                    "[--threads N]\n",
                     argv[0]);
         return 2;
     }
@@ -251,7 +261,7 @@ main(int argc, char **argv)
     options.tracePath = args.tracePath;
     options.faults = plan;
     options.priorities = priorities;
-    options.parallel = args.parallel;
+    options.threads = args.threads;
     const sim::SystemSimResult result =
         system.simulate(flows, schedule, options);
 

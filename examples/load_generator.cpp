@@ -12,8 +12,9 @@
  * the server really holds >= 1000 concurrent queries. Sustain: the
  * dispatchers resume, the chaos driver replays the fault plan, and
  * the generator keeps the queue near the target until the submission
- * budget is spent, backing off (never blocking) when the server says
- * Overloaded or QuotaExceeded.
+ * budget is spent. When the server says Overloaded or QuotaExceeded
+ * (submit never blocks), the sender sleeps until in-flight work has
+ * drained below the target and then retries.
  *
  * Exits 0 only when the serving contract held:
  *   - peak in-flight reached the target (>= --min-inflight);
@@ -29,6 +30,7 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -174,6 +176,8 @@ main(int argc, char **argv)
     constexpr std::size_t kSamples = 96;
     constexpr std::uint64_t kWindowsPerNode = 240;
     constexpr std::uint64_t kStrideUs = 4'000;
+    // Sender back-off step while the server drains after a rejection.
+    constexpr std::chrono::microseconds kBackoff{200};
     app::QueryEngine engine = system.makeQueryEngine(kSamples);
     Rng rng(args.seed);
     for (NodeId node = 0; node < engine.nodeCount(); ++node) {
@@ -258,11 +262,16 @@ main(int argc, char **argv)
             tickets.push_back(result.id);
             ++submitted;
         } else {
-            // Typed back-pressure: never blocks, so back off by
-            // consuming nothing and retrying (the dispatchers are
-            // draining concurrently).
+            // Typed back-pressure: submit never blocks. Back off until
+            // the dispatchers have drained in-flight work below the
+            // target, then retry the same query. (Retrying at once
+            // spun: every retry counted as a rejection, and since a
+            // batch claim frees maxBatch slots, a multiple of the
+            // tenant count, every burst ended on the same tenant.)
             ++rejected;
-            std::this_thread::yield();
+            do
+                std::this_thread::sleep_for(kBackoff);
+            while (server.inFlight() >= args.inflightTarget);
         }
     }
 

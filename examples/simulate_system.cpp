@@ -9,9 +9,9 @@
  * and `--clusters K` to generate a hierarchical topology instead: N
  * implants partitioned into K balanced TDMA clusters bridged by a
  * relay backbone, scheduled with the decomposed per-cluster
- * formulation and executed by the clustered engine (`--parallel`
- * advances the cluster queues on worker threads; the result is
- * byte-identical to the serial engine).
+ * formulation and executed by the clustered engine (`--threads N`
+ * sets its runners and the trace export's: 0, the default, is one per
+ * CPU and 1 is serial; the result is byte-identical at every width).
  *
  * Pass `--trace out.json` to export a Chrome trace-event JSON of the
  * run; open it in Perfetto (ui.perfetto.dev) or chrome://tracing to
@@ -34,8 +34,8 @@ namespace {
 void
 usage(const char *argv0)
 {
-    std::printf("usage: %s [--nodes N] [--clusters K] [--parallel]"
-                " [--threads T] [--duration MS] [--trace out.json]\n",
+    std::printf("usage: %s [--nodes N] [--clusters K] [--threads T]"
+                " [--duration MS] [--trace out.json]\n",
                 argv0);
 }
 
@@ -51,7 +51,6 @@ main(int argc, char **argv)
     std::size_t nodes = 4;
     std::size_t clusters = 1;
     std::size_t threads = 0;
-    bool parallel = false;
     double duration_ms = 400.0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
@@ -68,8 +67,6 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             threads = static_cast<std::size_t>(
                 std::strtoul(argv[++i], nullptr, 10));
-        } else if (std::strcmp(argv[i], "--parallel") == 0) {
-            parallel = true;
         } else if (std::strcmp(argv[i], "--duration") == 0 &&
                    i + 1 < argc) {
             duration_ms = std::strtod(argv[++i], nullptr);
@@ -111,7 +108,6 @@ main(int argc, char **argv)
     core::SimulateOptions options;
     options.duration = units::Millis{duration_ms};
     options.tracePath = trace_path;
-    options.parallel = parallel;
     options.threads = threads;
     const sim::SystemSimResult result =
         system.simulate(flows, schedule, options);

@@ -78,12 +78,12 @@ ScaloSystem::simulate(const std::vector<sched::FlowSpec> &flows,
     sim_config.faults = options.faults;
     sim_config.retry = options.retry;
     sim_config.priorities = options.priorities;
-    sim_config.parallel = options.parallel;
     sim_config.threads = options.threads;
     sim::SystemSim system_sim(std::move(sim_config));
     sim::SystemSimResult result = system_sim.run();
     if (!options.tracePath.empty() &&
-        !system_sim.trace().writeChromeJson(options.tracePath))
+        !system_sim.trace().writeChromeJson(options.tracePath,
+                                            options.threads))
         SCALO_FATAL("cannot write trace to ", options.tracePath);
     return result;
 }

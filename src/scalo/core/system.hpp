@@ -72,12 +72,11 @@ struct SimulateOptions
     /** Transmission retry policy under faults. */
     net::RetryPolicy retry;
     /**
-     * Advance cluster event queues on worker threads (multi-cluster
-     * systems only). The serial engine produces the identical result
-     * and trace; parallelism only changes wall-clock time.
+     * Runners for the cluster event queues (multi-cluster systems)
+     * and for the trace export: 0 means one per CPU, 1 runs serially.
+     * Every width produces the identical result and trace bytes; it
+     * only changes wall-clock time.
      */
-    bool parallel = false;
-    /** Worker count for parallel runs; 0 picks a default width. */
     std::size_t threads = 0;
 };
 

@@ -14,8 +14,9 @@
  * shared backbone medium processed at cluster-synchronisation
  * barriers. A single-cluster plan degenerates to the original flat
  * fabric and reproduces its runs byte for byte. Multi-cluster runs
- * can advance their cluster queues on `util::ThreadPool` workers
- * (`SystemSimConfig::parallel`): clusters only interact through the
+ * advance their cluster queues on `util::ThreadPool` workers, one
+ * runner per CPU by default (`SystemSimConfig::threads`; 1 is the
+ * serial engine): clusters only interact through the
  * backbone, which is handled single-threadedly at quantum barriers,
  * so the parallel engine's merged trace is byte-identical to the
  * serial reference engine for the same seed.
@@ -95,13 +96,11 @@ struct SystemSimConfig
      */
     std::vector<double> priorities;
     /**
-     * Advance cluster event queues on ThreadPool workers. The serial
-     * engine (false, the reference) produces the identical result
-     * and trace; parallelism only changes wall-clock time. No effect
-     * on single-cluster plans.
+     * Runners advancing the cluster event queues: 0 means one per
+     * CPU, 1 the serial engine (the reference); capped at the cluster
+     * count. Every width produces the identical result and trace; it
+     * only changes wall-clock time. No effect on single-cluster plans.
      */
-    bool parallel = false;
-    /** Worker count for parallel runs; 0 picks a default width. */
     std::size_t threads = 0;
     /**
      * Cluster-synchronisation quantum (the conservative lookahead):
@@ -230,7 +229,7 @@ struct SystemSimResult
     std::size_t eventsExecuted = 0;
     /** Clusters the fabric ran as (1 = flat). */
     std::size_t clusters = 1;
-    /** Whether the parallel engine executed the cluster queues. */
+    /** Whether more than one runner advanced the cluster queues. */
     bool ranParallel = false;
 
     // Failure timeline (all empty/zero on a fault-free run).

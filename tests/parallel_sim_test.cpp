@@ -67,15 +67,15 @@ struct RunOutput
     SystemSimResult result;
 };
 
+/** Simulate and export at one width (1 = the serial engine). */
 RunOutput
-runWith(SystemSimConfig config, bool parallel, std::size_t threads)
+runWith(SystemSimConfig config, std::size_t threads)
 {
-    config.parallel = parallel;
     config.threads = threads;
     SystemSim sim(std::move(config));
     RunOutput out;
     out.result = sim.run();
-    out.traceJson = sim.trace().toChromeJson();
+    out.traceJson = sim.trace().toChromeJson(threads);
     return out;
 }
 
@@ -102,9 +102,10 @@ TEST(ParallelSim, TraceBytesMatchSerialAtEveryThreadCount)
     const SystemSimConfig config = clusteredSimConfig(100.0_ms);
     ASSERT_TRUE(config.schedule.feasible) << config.schedule.reason;
 
-    const RunOutput serial = runWith(config, false, 0);
-    const RunOutput two = runWith(config, true, 2);
-    const RunOutput four = runWith(config, true, 4);
+    const RunOutput serial = runWith(config, 1);
+    const RunOutput two = runWith(config, 2);
+    const RunOutput four = runWith(config, 4);
+    const RunOutput per_cpu = runWith(config, 0);
 
     EXPECT_FALSE(serial.result.ranParallel);
     EXPECT_TRUE(two.result.ranParallel);
@@ -114,9 +115,10 @@ TEST(ParallelSim, TraceBytesMatchSerialAtEveryThreadCount)
     ASSERT_FALSE(serial.traceJson.empty());
     EXPECT_EQ(serial.traceJson, two.traceJson);
     EXPECT_EQ(serial.traceJson, four.traceJson);
+    EXPECT_EQ(serial.traceJson, per_cpu.traceJson);
 
     // The aggregated results agree field-for-field too.
-    for (const RunOutput *run : {&two, &four}) {
+    for (const RunOutput *run : {&two, &four, &per_cpu}) {
         EXPECT_EQ(serial.result.eventsExecuted,
                   run->result.eventsExecuted);
         ASSERT_EQ(serial.result.flows.size(),
@@ -149,8 +151,8 @@ TEST(ParallelSim, ExplicitFlatPlanMatchesEmptyPlan)
     const SystemSimConfig without = clusteredSimConfig(100.0_ms, 8, 1);
     ASSERT_TRUE(with_plan.schedule.feasible);
 
-    const RunOutput a = runWith(with_plan, false, 0);
-    const RunOutput b = runWith(without, false, 0);
+    const RunOutput a = runWith(with_plan, 1);
+    const RunOutput b = runWith(without, 1);
     EXPECT_EQ(a.result.clusters, 1u);
     ASSERT_FALSE(a.traceJson.empty());
     EXPECT_EQ(a.traceJson, b.traceJson);
@@ -159,8 +161,8 @@ TEST(ParallelSim, ExplicitFlatPlanMatchesEmptyPlan)
 TEST(ParallelSim, RepeatedParallelRunsAreDeterministic)
 {
     const SystemSimConfig config = clusteredSimConfig(100.0_ms);
-    const RunOutput first = runWith(config, true, 4);
-    const RunOutput second = runWith(config, true, 4);
+    const RunOutput first = runWith(config, 4);
+    const RunOutput second = runWith(config, 4);
     ASSERT_FALSE(first.traceJson.empty());
     EXPECT_EQ(first.traceJson, second.traceJson);
 }
@@ -175,8 +177,8 @@ TEST(ParallelSim, RelayCrashParityAndMigration)
     ASSERT_TRUE(config.schedule.feasible);
     config.faults.crashes.push_back({6, 20.0_ms});
 
-    const RunOutput serial = runWith(config, false, 0);
-    const RunOutput parallel = runWith(config, true, 4);
+    const RunOutput serial = runWith(config, 1);
+    const RunOutput parallel = runWith(config, 4);
 
     ASSERT_FALSE(serial.traceJson.empty());
     EXPECT_EQ(serial.traceJson, parallel.traceJson);
@@ -225,8 +227,8 @@ TEST(ParallelSim, CountersOnlyModeMatchesTracedCounters)
     SystemSimConfig counters = clusteredSimConfig(100.0_ms);
     counters.recordTrace = false;
 
-    const RunOutput a = runWith(traced, true, 4);
-    const RunOutput b = runWith(counters, true, 4);
+    const RunOutput a = runWith(traced, 4);
+    const RunOutput b = runWith(counters, 4);
     EXPECT_EQ(a.result.network.total(), b.result.network.total());
     ASSERT_EQ(a.result.flows.size(), b.result.flows.size());
     for (std::size_t f = 0; f < a.result.flows.size(); ++f) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -20,6 +21,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "scalo/core/system.hpp"
@@ -422,6 +424,233 @@ TEST(TraceFormat, FileExportMatchesStringAndReportsFailure)
     if (std::filesystem::exists("/dev/full")) {
         EXPECT_FALSE(sim.trace().writeChromeJson("/dev/full"));
     }
+}
+
+// The file export overwrites an existing file in place and cuts it to
+// the new length: a longer or a shorter old file leaves exactly the
+// exported bytes.
+TEST(TraceFormat, FileExportReplacesAnExistingFile)
+{
+    Trace trace;
+    trace.record(units::Micros{5.0}, TraceEventKind::PacketTx, 1, 0,
+                 "tx", 3, 1.5);
+    const std::string expected = trace.toChromeJson();
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        "scalo_system_sim_test_overwrite.json";
+    for (const std::size_t old_size :
+         {std::size_t{0}, expected.size() / 2, expected.size() * 3}) {
+        {
+            std::ofstream old(path, std::ios::binary | std::ios::trunc);
+            old << std::string(old_size, '#');
+        }
+        ASSERT_TRUE(trace.writeChromeJson(path.string()));
+        std::ifstream file(path, std::ios::binary);
+        const std::string written{std::istreambuf_iterator<char>(file),
+                                  std::istreambuf_iterator<char>()};
+        EXPECT_EQ(written, expected) << "old file of " << old_size;
+    }
+    std::filesystem::remove(path);
+}
+
+/** One recorded event, kept by the test's reference exporter. */
+struct Recorded
+{
+    std::uint64_t timeUs;
+    TraceEventKind kind;
+    std::uint32_t node;
+    std::uint32_t lane;
+    std::string name;
+    std::uint64_t id;
+    double value;
+};
+
+/** The Chrome export spelled out naively: a stable sort by time and
+ *  one snprintf-style field at a time. */
+std::string
+referenceExport(std::vector<Recorded> events)
+{
+    std::stable_sort(events.begin(), events.end(),
+                     [](const Recorded &a, const Recorded &b) {
+                         return a.timeUs < b.timeUs;
+                     });
+    std::vector<std::uint32_t> pids;
+    for (const Recorded &event : events)
+        pids.push_back(event.node);
+    std::sort(pids.begin(), pids.end());
+    pids.erase(std::unique(pids.begin(), pids.end()), pids.end());
+    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    const char *separator = "\n";
+    for (const std::uint32_t pid : pids) {
+        const std::string label =
+            pid == Trace::kNetworkNode    ? "network"
+            : pid == Trace::kBackboneNode ? "backbone"
+            : pid >= Trace::kMediumBase
+                ? "medium " + std::to_string(pid - Trace::kMediumBase)
+                : "node " + std::to_string(pid);
+        out += separator;
+        separator = ",\n";
+        out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
+               std::to_string(pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
+               label + "\"}}";
+    }
+    for (const Recorded &event : events) {
+        std::string name;
+        for (const char c : event.name)
+            name += c == '"' ? std::string("\\\"") : std::string(1, c);
+        const char phase =
+            event.kind == TraceEventKind::StageStart ||
+                    event.kind == TraceEventKind::ExchangeStart ||
+                    event.kind == TraceEventKind::BackboneStart
+                ? 'B'
+            : event.kind == TraceEventKind::StageFinish ||
+                    event.kind == TraceEventKind::ExchangeFinish ||
+                    event.kind == TraceEventKind::BackboneFinish
+                ? 'E'
+                : 'i';
+        char value[64];
+        std::snprintf(value, sizeof(value), "%.6g", event.value);
+        out += separator;
+        separator = ",\n";
+        out += "{\"name\":\"" + name + "\",\"cat\":\"" +
+               std::string(traceEventName(event.kind)) +
+               "\",\"ph\":\"" + phase +
+               "\",\"ts\":" + std::to_string(event.timeUs) +
+               ",\"pid\":" + std::to_string(event.node) +
+               ",\"tid\":" + std::to_string(event.lane) +
+               (phase == 'i' ? ",\"s\":\"t\"" : "") +
+               ",\"args\":{\"id\":" + std::to_string(event.id) +
+               ",\"value\":" + value + "}}";
+    }
+    return out + "\n]}\n";
+}
+
+/**
+ * A seeded random trace of @p count events, recorded into one trace or
+ * split over up to three appended parts (partial blocks mid-log).
+ * Timestamps come from a range of @p times values, so ties abound,
+ * within a chunk and across chunk edges.
+ */
+Trace
+randomTrace(std::mt19937_64 &rng, std::size_t count, std::uint64_t times,
+            std::vector<Recorded> &recorded)
+{
+    static const char *const kNames[] = {"FFT", "hash \"q\"", "DTW",
+                                         "tx", "relay"};
+    const std::uint32_t nodes[] = {0,
+                                   1,
+                                   5,
+                                   63,
+                                   Trace::kNetworkNode,
+                                   Trace::kBackboneNode,
+                                   Trace::mediumNode(3)};
+    std::vector<Trace> parts(1 + rng() % 3);
+    recorded.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+        const Recorded event{
+            rng() % times,
+            static_cast<TraceEventKind>(rng() % kTraceEventKinds),
+            nodes[rng() % std::size(nodes)],
+            static_cast<std::uint32_t>(rng() % 4),
+            kNames[rng() % std::size(kNames)],
+            rng() % 1000,
+            static_cast<double>(rng() % 100'000) / 7.0};
+        // Parts fill in order, so record order is preserved overall.
+        const std::size_t part = i * parts.size() / std::max<std::size_t>(count, 1);
+        parts[part].record(units::Micros{static_cast<double>(event.timeUs)},
+                           event.kind, event.node, event.lane,
+                           event.name, event.id, event.value);
+        recorded.push_back(event);
+    }
+    Trace whole;
+    for (Trace &part : parts)
+        whole.append(std::move(part));
+    return whole;
+}
+
+// The chunked, pooled export writes exactly the bytes of a naive
+// stable-sort reference at every width, on traces of 0 and 1 events,
+// just below, at and above one chunk, and across several chunks.
+TEST(TraceFormat, ParallelExportMatchesSerialAndReference)
+{
+    constexpr std::size_t kChunk = Trace::kExportChunkEvents;
+    std::mt19937_64 rng(0xc4a0);
+    const std::size_t sizes[] = {0,          1,          2,
+                                 kChunk - 1, kChunk,     kChunk + 1,
+                                 2 * kChunk, 3 * kChunk + 17,
+                                 9 * kChunk + 5};
+    std::vector<Recorded> recorded;
+    for (const std::size_t count : sizes)
+        for (const std::uint64_t times : {std::uint64_t{3},
+                                          std::uint64_t{1'000'000}}) {
+            const Trace trace = randomTrace(rng, count, times, recorded);
+            ASSERT_EQ(trace.size(), count);
+            const std::string serial = trace.toChromeJson(1);
+            ASSERT_EQ(serial, referenceExport(recorded))
+                << count << " events, " << times << " timestamps";
+            for (const std::size_t width : {2u, 3u, 4u, 8u, 0u})
+                ASSERT_EQ(trace.toChromeJson(width), serial)
+                    << count << " events at width " << width;
+        }
+}
+
+// A sink that refuses chunk k ends the export: it returns false and no
+// later chunk is offered, and what was taken is a prefix of the full
+// export, at every width.
+TEST(TraceFormat, ExportStopsAtTheFirstRefusedChunk)
+{
+    std::mt19937_64 rng(0x5eed);
+    std::vector<Recorded> recorded;
+    const Trace trace = randomTrace(
+        rng, 6 * Trace::kExportChunkEvents + 3, 50, recorded);
+    const std::string full = trace.toChromeJson(1);
+    for (const std::size_t width : {1u, 4u})
+        for (const std::size_t refuse : {0u, 1u, 2u, 5u, 7u, 8u}) {
+            std::size_t calls = 0;
+            std::string taken;
+            const bool ok = trace.exportChrome(
+                [&](std::string_view chunk) {
+                    if (calls++ == refuse)
+                        return false;
+                    taken.append(chunk);
+                    return true;
+                },
+                width);
+            // Head, 7 event chunks, tail: 9 chunks in all.
+            EXPECT_FALSE(ok) << "refusing chunk " << refuse;
+            EXPECT_EQ(calls, refuse + 1) << "width " << width;
+            EXPECT_EQ(full.compare(0, taken.size(), taken), 0);
+        }
+    std::size_t calls = 0;
+    EXPECT_TRUE(trace.exportChrome(
+        [&](std::string_view) { return ++calls > 0; }, 4));
+    EXPECT_EQ(calls, 9u);
+}
+
+// The sort key packs the timestamp above the record index in 64 bits;
+// a trace that does not fit is refused before anything is sent.
+TEST(TraceFormat, PackedKeyOverflowIsRefused)
+{
+    const auto four_events = [](double last_us) {
+        Trace trace;
+        for (const double us : {1.0, 2.0, 3.0, last_us})
+            trace.record(units::Micros{us}, TraceEventKind::PacketTx, 0,
+                         0, "tx");
+        return trace;
+    };
+    // Record indices 0..3 take 2 bits: a 62-bit timestamp fits, a
+    // 63-bit one does not.
+    const Trace fits = four_events(std::ldexp(1.0, 61));
+    EXPECT_NE(fits.toChromeJson().find("\"ts\":2305843009213693952"),
+              std::string::npos);
+    const Trace too_late = four_events(std::ldexp(1.0, 62));
+    std::size_t calls = 0;
+    EXPECT_FALSE(too_late.exportChrome([&](std::string_view) {
+        ++calls;
+        return true;
+    }));
+    EXPECT_EQ(calls, 0u);
+    EXPECT_EQ(too_late.toChromeJson(), "");
 }
 
 } // namespace
