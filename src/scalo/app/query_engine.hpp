@@ -230,8 +230,10 @@ class QueryEngine
     executeBatch(const std::vector<Query> &queries) const;
 
     /**
-     * Worker threads fanning node shards out (1 = sequential). The
-     * merge is deterministic, so this only changes wall-clock.
+     * Runners fanning node shards out, the calling thread included
+     * (threads - 1 workers; 1 = sequential), as util::ThreadPool's
+     * width. The merge is deterministic, so this only changes
+     * wall-clock.
      */
     void setParallelism(std::size_t threads);
     std::size_t parallelism() const { return threads; }
