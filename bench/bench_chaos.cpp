@@ -7,7 +7,8 @@
  * end-to-end wall time of a fault-injected simulation run versus the
  * fault-free baseline of the same deployment, the 128-node chaos run
  * serial and at the default width, and the trace layer's record and
- * export cost on it (the export serial and at the default width). Dumped to
+ * export cost on it (the export serial and at the default width, to a
+ * file and into a discarding sink). Dumped to
  * BENCH_chaos.json by ci/check.sh's chaos gate and diffed (report
  * only) with ci/compare_bench.py.
  */
@@ -16,6 +17,7 @@
 
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "scalo/ilp/solver.hpp"
@@ -295,6 +297,40 @@ BM_TraceExport(benchmark::State &state)
     std::filesystem::remove(path, ec);
 }
 BENCHMARK(BM_TraceExport)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+
+/**
+ * The same export into a sink that counts and discards the bytes, at
+ * one runner (/1) and at the default width (/0): the exporter's own
+ * cost, without the file system's (writing, and freeing the previous
+ * iteration's file).
+ */
+void
+BM_TraceExportDiscard(benchmark::State &state)
+{
+    const auto threads = static_cast<std::size_t>(state.range(0));
+    sim::SystemSim sim(chaosConfig(true));
+    sim.run();
+    std::size_t bytes = 0;
+    const sim::Trace::ChunkSink discard = [&bytes](std::string_view s) {
+        bytes += s.size();
+        return true;
+    };
+    for (auto _ : state) {
+        bytes = 0;
+        if (!sim.trace().exportChrome(discard, threads)) {
+            state.SkipWithError("trace export failed");
+            break;
+        }
+        benchmark::DoNotOptimize(bytes);
+    }
+    state.counters["trace_bytes"] = static_cast<double>(bytes);
+    state.counters["trace_events"] =
+        static_cast<double>(sim.trace().size());
+}
+BENCHMARK(BM_TraceExportDiscard)
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -63,6 +63,82 @@ payloadFor(const sched::NetworkUse &net, double e)
         1, static_cast<std::size_t>(std::llround(bytes)));
 }
 
+/**
+ * Response, round and packet tallies of one flow, kept by whoever
+ * completes its windows or sends its packets (a cluster or the
+ * backbone coordinator) and summed after the run.
+ */
+struct Tally
+{
+    std::size_t completed = 0;
+    std::uint64_t responseSumUs = 0;
+    std::uint64_t maxResponseUs = 0;
+    std::uint64_t firstResponseUs = 0;
+    std::uint64_t lastResponseUs = 0;
+    /** Completion ticks of the first and the last response. */
+    std::uint64_t firstTick = 0;
+    std::uint64_t lastTick = 0;
+    std::uint64_t roundSumUs = 0;
+    std::uint64_t maxRoundUs = 0;
+    std::size_t roundCount = 0;
+    std::uint64_t packetsSent = 0;
+    std::uint64_t packetsCorrupted = 0;
+    std::uint64_t retransmissions = 0;
+    /** Fragments abandoned after the retry budget was exhausted. */
+    std::uint64_t packetsLost = 0;
+
+    /** A window that arrived at @p arrival completed at @p tick. */
+    void
+    respond(std::uint64_t tick, std::uint64_t arrival)
+    {
+        const std::uint64_t response = tick - arrival;
+        if (completed == 0) {
+            firstResponseUs = response;
+            firstTick = tick;
+        }
+        lastResponseUs = response;
+        lastTick = tick;
+        maxResponseUs = std::max(maxResponseUs, response);
+        responseSumUs += response;
+        ++completed;
+    }
+
+    void
+    round(std::uint64_t us)
+    {
+        roundSumUs += us;
+        maxRoundUs = std::max(maxRoundUs, us);
+        ++roundCount;
+    }
+
+    /** Fold @p other in: first/last response by completion tick. */
+    Tally &
+    operator+=(const Tally &other)
+    {
+        packetsSent += other.packetsSent;
+        packetsCorrupted += other.packetsCorrupted;
+        retransmissions += other.retransmissions;
+        packetsLost += other.packetsLost;
+        if (other.completed == 0)
+            return *this;
+        if (completed == 0 || other.firstTick < firstTick) {
+            firstResponseUs = other.firstResponseUs;
+            firstTick = other.firstTick;
+        }
+        if (other.lastTick >= lastTick) {
+            lastResponseUs = other.lastResponseUs;
+            lastTick = other.lastTick;
+        }
+        completed += other.completed;
+        responseSumUs += other.responseSumUs;
+        maxResponseUs = std::max(maxResponseUs, other.maxResponseUs);
+        roundSumUs += other.roundSumUs;
+        maxRoundUs = std::max(maxRoundUs, other.maxRoundUs);
+        roundCount += other.roundCount;
+        return *this;
+    }
+};
+
 } // namespace
 
 /** Per-flow execution state threaded through the run. */
@@ -88,22 +164,10 @@ struct SystemSim::FlowRuntime
     bool exactCompare = false;
     net::PacketType packetType = net::PacketType::Hash;
 
-    // Coordinator-side accumulators. On a clustered fabric the
-    // backbone rounds fill the response/round stats; per-cluster
-    // contributions are folded in by mergeClusterStats().
     std::size_t submitted = 0;
-    std::size_t completed = 0;
-    std::uint64_t responseSumUs = 0;
-    std::uint64_t maxResponseUs = 0;
-    std::uint64_t firstResponseUs = 0;
-    std::uint64_t lastResponseUs = 0;
-    std::uint64_t roundSumUs = 0;
-    std::uint64_t maxRoundUs = 0;
-    std::size_t roundCount = 0;
-    std::uint64_t packetsSent = 0;
-    std::uint64_t packetsCorrupted = 0;
-    std::uint64_t retransmissions = 0;
-    std::uint64_t packetsLost = 0;
+    /** The backbone's tally; mergeClusterStats() folds every
+     *  cluster's in after the run. */
+    Tally tally;
     std::uint64_t relayForwards = 0;
 
     // Static predictions.
@@ -134,23 +198,24 @@ struct SystemSim::ClusterFlow
     };
     std::map<std::uint64_t, RoundState> rounds;
 
-    // Cluster-local accumulators, merged after the run. The response
-    // stats are only filled where the cluster is the point of
-    // completion: local flows, and networked flows on the flat fabric.
-    std::size_t completed = 0;
-    std::uint64_t responseSumUs = 0;
-    std::uint64_t maxResponseUs = 0;
-    std::uint64_t firstResponseUs = 0;
-    std::uint64_t lastResponseUs = 0;
-    std::uint64_t firstTick = 0;
-    std::uint64_t lastTick = 0;
-    std::uint64_t roundSumUs = 0;
-    std::uint64_t maxRoundUs = 0;
-    std::size_t roundCount = 0;
-    std::uint64_t packetsSent = 0;
-    std::uint64_t packetsCorrupted = 0;
-    std::uint64_t retransmissions = 0;
-    std::uint64_t packetsLost = 0;
+    /** Merged after the run. Responses land here only where the
+     *  cluster completes the window: local flows, and networked flows
+     *  on the flat fabric. */
+    Tally tally;
+};
+
+/** The medium a round transmits on: a cluster's or the backbone. */
+struct SystemSim::Link
+{
+    Trace &trace;
+    net::WirelessChannel &channel;
+    Rng &backoffRng;
+    std::uint16_t &sequence;
+    Tally &tally;
+    /** Trace node of the medium (the receiving side). */
+    std::uint32_t receiver;
+    /** Selects the backbone's BER spikes over the plan-wide ones. */
+    bool backbone;
 };
 
 /** A relay node's aggregated round, queued for the backbone. */
@@ -498,18 +563,7 @@ SystemSim::accountWindow(Cluster &cluster, std::size_t flow,
         return; // non-sender local work is power only
 
     // Local flow: the node-level completion is the response.
-    const std::uint64_t arrival = window_id * rt.windowTicks;
-    const std::uint64_t ticks = cluster.sim.ticks();
-    const std::uint64_t response = ticks - arrival;
-    if (cf.completed == 0) {
-        cf.firstResponseUs = response;
-        cf.firstTick = ticks;
-    }
-    cf.lastResponseUs = response;
-    cf.lastTick = ticks;
-    cf.maxResponseUs = std::max(cf.maxResponseUs, response);
-    cf.responseSumUs += response;
-    ++cf.completed;
+    cf.tally.respond(cluster.sim.ticks(), window_id * rt.windowTicks);
 }
 
 void
@@ -530,6 +584,93 @@ SystemSim::onExchangeDeadline(Cluster &cluster, std::size_t flow,
     runExchange(cluster, flow, window_id);
 }
 
+double
+SystemSim::sendPacket(const Link &link, std::size_t flow,
+                      std::size_t source, std::uint8_t destination,
+                      std::size_t bytes, std::uint32_t timestamp,
+                      double cursor)
+{
+    const sched::FlowSpec &spec = config.flows[flow];
+    const net::RadioSpec &radio = *config.system.radio;
+    const auto lane = static_cast<std::uint32_t>(flow + 1);
+    const auto sender = static_cast<std::uint32_t>(source);
+
+    net::Packet packet;
+    packet.source = static_cast<std::uint8_t>(source);
+    packet.destination = destination;
+    packet.type = flowRuntimes[flow].packetType;
+    packet.timestampUs = timestamp;
+    packet.payload.resize(bytes);
+    for (std::size_t i = 0; i < packet.payload.size(); ++i)
+        packet.payload[i] =
+            static_cast<std::uint8_t>((i * 31 + source) & 0xff);
+    for (net::Packet &fragment : net::fragment(packet)) {
+        fragment.sequence = link.sequence++;
+        const auto wire_bytes =
+            static_cast<double>(fragment.wireBytes());
+        const units::Micros wire_time{
+            radio.transferTime(units::Bytes{wire_bytes})
+                .in<units::Micros>()};
+        bool delivered = false;
+        for (std::size_t attempt = 0;
+             attempt < config.retry.maxAttempts; ++attempt) {
+            if (attempt > 0) {
+                // Exponential backoff with seeded jitter before each
+                // retry; the retry's radio energy is real and lands
+                // on the sender (the scheduler only provisioned the
+                // always-on radio budget).
+                cursor +=
+                    config.retry.backoff(attempt, link.backoffRng)
+                        .count();
+                dynamicEnergyUj[source] +=
+                    radio.transferEnergy(units::Bytes{wire_bytes})
+                        .count() *
+                    1e3;
+            }
+            // Channel condition at this instant: dropout windows lose
+            // everything, BER spikes raise the error rate.
+            const units::Micros at{cursor};
+            const double spike = link.backbone
+                                     ? injector.backboneBerOverrideAt(at)
+                                     : injector.berOverrideAt(at);
+            link.channel.setBer(spike >= 0.0 ? spike : radio.ber);
+            link.channel.setOutage(injector.inDropout(at));
+            ++link.tally.packetsSent;
+            link.trace.record(at, TraceEventKind::PacketTx, sender, 0,
+                              spec.name, fragment.sequence,
+                              wire_bytes);
+            const net::ReceiveResult receipt =
+                link.channel.transmit(fragment);
+            cursor += wire_time.count();
+            if (!receipt.headerOk || !receipt.payloadOk) {
+                ++link.tally.packetsCorrupted;
+                link.trace.record(units::Micros{cursor},
+                                  TraceEventKind::PacketCorrupt,
+                                  link.receiver, lane, spec.name,
+                                  fragment.sequence, wire_bytes);
+            }
+            if (receipt.accepted()) {
+                link.trace.record(units::Micros{cursor},
+                                  TraceEventKind::PacketRx,
+                                  link.receiver, lane, spec.name,
+                                  fragment.sequence, wire_bytes);
+                delivered = true;
+                break;
+            }
+            if (!config.retry.shouldRetry(attempt))
+                break;
+            ++link.tally.retransmissions;
+            link.trace.record(units::Micros{cursor},
+                              TraceEventKind::PacketRetransmit, sender,
+                              0, spec.name, fragment.sequence,
+                              wire_bytes);
+        }
+        if (!delivered)
+            ++link.tally.packetsLost;
+    }
+    return cursor + kGuard.count();
+}
+
 void
 SystemSim::runExchange(Cluster &cluster, std::size_t flow,
                        std::uint64_t window_id)
@@ -537,7 +678,6 @@ SystemSim::runExchange(Cluster &cluster, std::size_t flow,
     FlowRuntime &rt = flowRuntimes[flow];
     ClusterFlow &cf = cluster.flows[flow];
     const sched::FlowSpec &spec = config.flows[flow];
-    const net::RadioSpec &radio = *config.system.radio;
     const auto lane = static_cast<std::uint32_t>(flow + 1);
 
     ClusterFlow::RoundState &round = cf.rounds[window_id];
@@ -570,99 +710,20 @@ SystemSim::runExchange(Cluster &cluster, std::size_t flow,
                          cluster.mediumId, lane, spec.name,
                          window_id);
 
+    const Link link{cluster.trace,      *cf.channel,
+                    cluster.backoffRng, cf.nextSequence,
+                    cf.tally,           cluster.mediumId,
+                    /*backbone=*/false};
+    const std::uint8_t destination =
+        spec.network->pattern == net::Pattern::AllToOne
+            ? std::uint8_t{0}
+            : net::kBroadcast;
+    const auto timestamp =
+        static_cast<std::uint32_t>(cluster.sim.ticks());
     double cursor = static_cast<double>(start);
-    for (std::size_t n : transmitting) {
-        net::Packet packet;
-        packet.source = static_cast<std::uint8_t>(n);
-        packet.destination =
-            spec.network->pattern == net::Pattern::AllToOne
-                ? std::uint8_t{0}
-                : net::kBroadcast;
-        packet.type = rt.packetType;
-        packet.timestampUs =
-            static_cast<std::uint32_t>(cluster.sim.ticks());
-        packet.payload.resize(rt.payloadBytes[n]);
-        for (std::size_t i = 0; i < packet.payload.size(); ++i)
-            packet.payload[i] =
-                static_cast<std::uint8_t>((i * 31 + n) & 0xff);
-        for (net::Packet &fragment : net::fragment(packet)) {
-            fragment.sequence = cf.nextSequence++;
-            const units::Micros wire_time{
-                radio
-                    .transferTime(units::Bytes{static_cast<double>(
-                        fragment.wireBytes())})
-                    .in<units::Micros>()};
-            bool delivered = false;
-            for (std::size_t attempt = 0;
-                 attempt < config.retry.maxAttempts; ++attempt) {
-                if (attempt > 0) {
-                    // Exponential backoff with seeded jitter before
-                    // each retry; the retry's radio energy is real
-                    // and lands on the sender (the scheduler only
-                    // provisioned the always-on radio budget).
-                    cursor += config.retry
-                                  .backoff(attempt,
-                                           cluster.backoffRng)
-                                  .count();
-                    dynamicEnergyUj[n] +=
-                        radio
-                            .transferEnergy(units::Bytes{
-                                static_cast<double>(
-                                    fragment.wireBytes())})
-                            .count() *
-                        1e3;
-                }
-                // Channel condition at this instant: dropout windows
-                // lose everything, BER spikes raise the error rate.
-                const units::Micros at{cursor};
-                const double spike = injector.berOverrideAt(at);
-                cf.channel->setBer(spike >= 0.0 ? spike : radio.ber);
-                cf.channel->setOutage(injector.inDropout(at));
-                ++cf.packetsSent;
-                cluster.trace.record(
-                    units::Micros{cursor}, TraceEventKind::PacketTx,
-                    static_cast<std::uint32_t>(n), 0,
-                    spec.name, fragment.sequence,
-                    static_cast<double>(fragment.wireBytes()));
-                const net::ReceiveResult receipt =
-                    cf.channel->transmit(fragment);
-                cursor += wire_time.count();
-                const bool corrupt =
-                    !receipt.headerOk || !receipt.payloadOk;
-                if (corrupt) {
-                    ++cf.packetsCorrupted;
-                    cluster.trace.record(
-                        units::Micros{cursor},
-                        TraceEventKind::PacketCorrupt,
-                        cluster.mediumId, lane,
-                        spec.name, fragment.sequence,
-                        static_cast<double>(fragment.wireBytes()));
-                }
-                if (receipt.accepted()) {
-                    cluster.trace.record(
-                        units::Micros{cursor},
-                        TraceEventKind::PacketRx, cluster.mediumId,
-                        lane, spec.name,
-                        fragment.sequence,
-                        static_cast<double>(fragment.wireBytes()));
-                    delivered = true;
-                    break;
-                }
-                if (!config.retry.shouldRetry(attempt))
-                    break;
-                ++cf.retransmissions;
-                cluster.trace.record(
-                    units::Micros{cursor},
-                    TraceEventKind::PacketRetransmit,
-                    static_cast<std::uint32_t>(n), 0,
-                    spec.name, fragment.sequence,
-                    static_cast<double>(fragment.wireBytes()));
-            }
-            if (!delivered)
-                ++cf.packetsLost;
-        }
-        cursor += kGuard.count();
-    }
+    for (std::size_t n : transmitting)
+        cursor = sendPacket(link, flow, n, destination,
+                            rt.payloadBytes[n], timestamp, cursor);
 
     const std::uint64_t end = toTicks(units::Micros{cursor});
     cluster.medium.release(end);
@@ -676,22 +737,8 @@ SystemSim::runExchange(Cluster &cluster, std::size_t flow,
 
     if (clusters.size() == 1) {
         // Flat fabric: the intra round IS the whole exchange.
-        const std::uint64_t roundUs = end - start;
-        cf.roundSumUs += roundUs;
-        cf.maxRoundUs = std::max(cf.maxRoundUs, roundUs);
-        ++cf.roundCount;
-
-        const std::uint64_t arrival = window_id * rt.windowTicks;
-        const std::uint64_t response = end - arrival;
-        if (cf.completed == 0) {
-            cf.firstResponseUs = response;
-            cf.firstTick = end;
-        }
-        cf.lastResponseUs = response;
-        cf.lastTick = end;
-        cf.maxResponseUs = std::max(cf.maxResponseUs, response);
-        cf.responseSumUs += response;
-        ++cf.completed;
+        cf.tally.round(end - start);
+        cf.tally.respond(end, window_id * rt.windowTicks);
 
         // Exact-compare flows: each node checks every window it
         // received against its local history; the scheduler charges
@@ -896,33 +943,30 @@ SystemSim::scheduleFaultEvents()
                                crash.node, 0, "reboot", 0);
                        });
     }
-    // Channel-condition markers live on cluster 0's queue (the
-    // injector applies them to every cluster's channel regardless).
+    // Channel-condition, partition and backbone markers live on
+    // cluster 0's queue. The injector applies those faults to every
+    // medium regardless (the coordinator consults it for partitions
+    // and backbone spikes); the markers only put the instants on the
+    // trace.
     Cluster *front = clusters.front().get();
+    const auto mark = [front](units::Millis at, std::uint32_t node,
+                              const char *label, std::size_t index,
+                              double value) {
+        front->sim.at(units::Micros(at), [front, node, label, index,
+                                          value] {
+            front->trace.record(front->sim.now(),
+                                TraceEventKind::FaultInjected, node, 0,
+                                label, index, value);
+        });
+    };
     for (std::size_t i = 0; i < config.faults.dropouts.size(); ++i) {
         const RadioDropoutFault &drop = config.faults.dropouts[i];
-        front->sim.at(units::Micros(drop.from),
-                      [this, front, i, drop] {
-                          front->trace.record(
-                              front->sim.now(),
-                              TraceEventKind::FaultInjected,
-                              Trace::kNetworkNode, 0,
-                              "radio-dropout", i,
-                              (drop.to - drop.from).count());
-                      });
+        mark(drop.from, Trace::kNetworkNode, "radio-dropout", i,
+             (drop.to - drop.from).count());
     }
-    for (std::size_t i = 0; i < config.faults.berSpikes.size();
-         ++i) {
-        const BerSpikeFault &spike = config.faults.berSpikes[i];
-        front->sim.at(units::Micros(spike.from),
-                      [this, front, i, spike] {
-                          front->trace.record(
-                              front->sim.now(),
-                              TraceEventKind::FaultInjected,
-                              Trace::kNetworkNode, 0, "ber-spike", i,
-                              spike.ber);
-                      });
-    }
+    for (std::size_t i = 0; i < config.faults.berSpikes.size(); ++i)
+        mark(config.faults.berSpikes[i].from, Trace::kNetworkNode,
+             "ber-spike", i, config.faults.berSpikes[i].ber);
     // Relay crashes target the *role*: the victim is whoever holds
     // relay duty at the crash instant, resolved on the owning
     // cluster's queue (so it composes with earlier crashes that
@@ -963,45 +1007,21 @@ SystemSim::scheduleFaultEvents()
                                "relay-reboot", i);
                        });
     }
-    // Partition windows and backbone BER spikes are injected by the
-    // coordinator (processBackbone / runBackboneRound consult the
-    // injector); these markers just put the instants on the trace.
     for (std::size_t i = 0; i < config.faults.partitions.size();
          ++i) {
         const ClusterPartitionFault &part =
             config.faults.partitions[i];
-        front->sim.at(units::Micros(part.from),
-                      [this, front, i, part] {
-                          front->trace.record(
-                              front->sim.now(),
-                              TraceEventKind::FaultInjected,
-                              Trace::kBackboneNode, 0,
-                              "cluster-partition", i,
-                              static_cast<double>(part.cluster));
-                      });
-        front->sim.at(units::Micros(part.to),
-                      [this, front, i, part] {
-                          front->trace.record(
-                              front->sim.now(),
-                              TraceEventKind::FaultInjected,
-                              Trace::kBackboneNode, 0,
-                              "cluster-partition-heal", i,
-                              static_cast<double>(part.cluster));
-                      });
+        const auto cluster = static_cast<double>(part.cluster);
+        mark(part.from, Trace::kBackboneNode, "cluster-partition", i,
+             cluster);
+        mark(part.to, Trace::kBackboneNode, "cluster-partition-heal",
+             i, cluster);
     }
     for (std::size_t i = 0;
-         i < config.faults.backboneBerSpikes.size(); ++i) {
-        const BackboneBerSpikeFault &spike =
-            config.faults.backboneBerSpikes[i];
-        front->sim.at(units::Micros(spike.from),
-                      [this, front, i, spike] {
-                          front->trace.record(
-                              front->sim.now(),
-                              TraceEventKind::FaultInjected,
-                              Trace::kBackboneNode, 0,
-                              "backbone-ber-spike", i, spike.ber);
-                      });
-    }
+         i < config.faults.backboneBerSpikes.size(); ++i)
+        mark(config.faults.backboneBerSpikes[i].from,
+             Trace::kBackboneNode, "backbone-ber-spike", i,
+             config.faults.backboneBerSpikes[i].ber);
     for (const ThermalThrottleFault &throttle :
          config.faults.throttles) {
         Cluster *cl = clusters[plan.clusterOf(throttle.node)].get();
@@ -1129,7 +1149,6 @@ SystemSim::runBackboneRound(std::size_t flow,
 {
     FlowRuntime &rt = flowRuntimes[flow];
     const sched::FlowSpec &spec = config.flows[flow];
-    const net::RadioSpec &radio = *config.system.radio;
     const auto lane = static_cast<std::uint32_t>(flow + 1);
     if (round.entries.empty())
         return;
@@ -1210,92 +1229,15 @@ SystemSim::runBackboneRound(std::size_t flow,
         }
     }
 
+    const Link link{globalTrace,        *backboneChannels[flow],
+                    backboneBackoffRng, backboneSequence,
+                    rt.tally,           Trace::kBackboneNode,
+                    /*backbone=*/true};
+    const auto timestamp = static_cast<std::uint32_t>(start);
     double cursor = static_cast<double>(start);
-    for (const RelayPacket &entry : round.entries) {
-        net::Packet packet;
-        packet.source = static_cast<std::uint8_t>(entry.relay);
-        packet.destination = net::kBroadcast;
-        packet.type = rt.packetType;
-        packet.timestampUs = static_cast<std::uint32_t>(start);
-        packet.payload.resize(entry.bytes);
-        for (std::size_t i = 0; i < packet.payload.size(); ++i)
-            packet.payload[i] = static_cast<std::uint8_t>(
-                (i * 31 + entry.relay) & 0xff);
-        for (net::Packet &fragment : net::fragment(packet)) {
-            fragment.sequence = backboneSequence++;
-            const units::Micros wire_time{
-                radio
-                    .transferTime(units::Bytes{static_cast<double>(
-                        fragment.wireBytes())})
-                    .in<units::Micros>()};
-            bool delivered = false;
-            for (std::size_t attempt = 0;
-                 attempt < config.retry.maxAttempts; ++attempt) {
-                if (attempt > 0) {
-                    cursor += config.retry
-                                  .backoff(attempt,
-                                           backboneBackoffRng)
-                                  .count();
-                    dynamicEnergyUj[entry.relay] +=
-                        radio
-                            .transferEnergy(units::Bytes{
-                                static_cast<double>(
-                                    fragment.wireBytes())})
-                            .count() *
-                        1e3;
-                }
-                const units::Micros tx_at{cursor};
-                const double spike =
-                    injector.backboneBerOverrideAt(tx_at);
-                backboneChannels[flow]->setBer(
-                    spike >= 0.0 ? spike : radio.ber);
-                backboneChannels[flow]->setOutage(
-                    injector.inDropout(tx_at));
-                ++rt.packetsSent;
-                globalTrace.record(
-                    units::Micros{cursor}, TraceEventKind::PacketTx,
-                    static_cast<std::uint32_t>(entry.relay), 0,
-                    spec.name, fragment.sequence,
-                    static_cast<double>(fragment.wireBytes()));
-                const net::ReceiveResult receipt =
-                    backboneChannels[flow]->transmit(fragment);
-                cursor += wire_time.count();
-                const bool corrupt =
-                    !receipt.headerOk || !receipt.payloadOk;
-                if (corrupt) {
-                    ++rt.packetsCorrupted;
-                    globalTrace.record(
-                        units::Micros{cursor},
-                        TraceEventKind::PacketCorrupt,
-                        Trace::kBackboneNode, lane,
-                        spec.name, fragment.sequence,
-                        static_cast<double>(fragment.wireBytes()));
-                }
-                if (receipt.accepted()) {
-                    globalTrace.record(
-                        units::Micros{cursor},
-                        TraceEventKind::PacketRx,
-                        Trace::kBackboneNode, lane,
-                        spec.name, fragment.sequence,
-                        static_cast<double>(fragment.wireBytes()));
-                    delivered = true;
-                    break;
-                }
-                if (!config.retry.shouldRetry(attempt))
-                    break;
-                ++rt.retransmissions;
-                globalTrace.record(
-                    units::Micros{cursor},
-                    TraceEventKind::PacketRetransmit,
-                    static_cast<std::uint32_t>(entry.relay), 0,
-                    spec.name, fragment.sequence,
-                    static_cast<double>(fragment.wireBytes()));
-            }
-            if (!delivered)
-                ++rt.packetsLost;
-        }
-        cursor += kGuard.count();
-    }
+    for (const RelayPacket &entry : round.entries)
+        cursor = sendPacket(link, flow, entry.relay, net::kBroadcast,
+                            entry.bytes, timestamp, cursor);
 
     const std::uint64_t end = toTicks(units::Micros{cursor});
     backboneMedium.release(end);
@@ -1306,19 +1248,8 @@ SystemSim::runBackboneRound(std::size_t flow,
 
     // The backbone completes the exchange: the round spans the first
     // intra-cluster slot to the backbone's end.
-    const std::uint64_t roundUs = end - round.minStartTick;
-    rt.roundSumUs += roundUs;
-    rt.maxRoundUs = std::max(rt.maxRoundUs, roundUs);
-    ++rt.roundCount;
-
-    const std::uint64_t arrival = window_id * rt.windowTicks;
-    const std::uint64_t response = end - arrival;
-    if (rt.completed == 0)
-        rt.firstResponseUs = response;
-    rt.lastResponseUs = response;
-    rt.maxResponseUs = std::max(rt.maxResponseUs, response);
-    rt.responseSumUs += response;
-    ++rt.completed;
+    rt.tally.round(end - round.minStartTick);
+    rt.tally.respond(end, window_id * rt.windowTicks);
 
     // Exact-compare on the hierarchy: each relay compares its
     // cluster's history against the remote aggregates it received.
@@ -1398,63 +1329,30 @@ SystemSim::performRestitch(std::uint64_t upto_ticks)
 void
 SystemSim::mergeClusterStats(SystemSimResult &result)
 {
-    for (std::size_t f = 0; f < flowRuntimes.size(); ++f) {
-        FlowRuntime &rt = flowRuntimes[f];
-        bool have_first = rt.completed > 0;
-        std::uint64_t best_first = 0;
-        std::uint64_t best_last = 0;
-        for (const std::unique_ptr<Cluster> &cl : clusters) {
-            const ClusterFlow &cf = cl->flows[f];
-            rt.packetsSent += cf.packetsSent;
-            rt.packetsCorrupted += cf.packetsCorrupted;
-            rt.retransmissions += cf.retransmissions;
-            rt.packetsLost += cf.packetsLost;
-            if (cf.completed == 0)
-                continue;
-            rt.completed += cf.completed;
-            rt.responseSumUs += cf.responseSumUs;
-            rt.maxResponseUs =
-                std::max(rt.maxResponseUs, cf.maxResponseUs);
-            rt.roundSumUs += cf.roundSumUs;
-            rt.maxRoundUs = std::max(rt.maxRoundUs, cf.maxRoundUs);
-            rt.roundCount += cf.roundCount;
-            if (!have_first || cf.firstTick < best_first) {
-                rt.firstResponseUs = cf.firstResponseUs;
-                best_first = cf.firstTick;
-                have_first = true;
-            }
-            if (cf.lastTick >= best_last) {
-                rt.lastResponseUs = cf.lastResponseUs;
-                best_last = cf.lastTick;
-            }
-        }
-    }
+    for (std::size_t f = 0; f < flowRuntimes.size(); ++f)
+        for (const std::unique_ptr<Cluster> &cl : clusters)
+            flowRuntimes[f].tally += cl->flows[f].tally;
 
-    if (clusters.size() == 1) {
-        result.nodesDown = clusters.front()->downEvents;
-        result.reschedules = clusters.front()->reschedEvents;
-    } else {
-        for (const std::unique_ptr<Cluster> &cl : clusters) {
-            result.nodesDown.insert(result.nodesDown.end(),
-                                    cl->downEvents.begin(),
-                                    cl->downEvents.end());
-            result.reschedules.insert(result.reschedules.end(),
-                                      cl->reschedEvents.begin(),
-                                      cl->reschedEvents.end());
-        }
-        std::stable_sort(result.nodesDown.begin(),
-                         result.nodesDown.end(),
-                         [](const NodeDownEvent &a,
-                            const NodeDownEvent &b) {
-                             return a.detectedAt.count() <
-                                    b.detectedAt.count();
-                         });
-        std::stable_sort(
-            result.reschedules.begin(), result.reschedules.end(),
-            [](const RescheduleEvent &a, const RescheduleEvent &b) {
-                return a.at.count() < b.at.count();
-            });
+    // Each cluster appends its events in sim-time order, so for one
+    // cluster the stable sort leaves the concatenation as it is.
+    for (const std::unique_ptr<Cluster> &cl : clusters) {
+        result.nodesDown.insert(result.nodesDown.end(),
+                                cl->downEvents.begin(),
+                                cl->downEvents.end());
+        result.reschedules.insert(result.reschedules.end(),
+                                  cl->reschedEvents.begin(),
+                                  cl->reschedEvents.end());
     }
+    std::stable_sort(result.nodesDown.begin(), result.nodesDown.end(),
+                     [](const NodeDownEvent &a, const NodeDownEvent &b) {
+                         return a.detectedAt.count() <
+                                b.detectedAt.count();
+                     });
+    std::stable_sort(
+        result.reschedules.begin(), result.reschedules.end(),
+        [](const RescheduleEvent &a, const RescheduleEvent &b) {
+            return a.at.count() < b.at.count();
+        });
     result.exchangeTimeouts = backboneTimeouts;
     for (const std::unique_ptr<Cluster> &cl : clusters)
         result.exchangeTimeouts += cl->exchangeTimeouts;
@@ -1494,57 +1392,45 @@ SystemSim::run()
     result.duration = config.duration;
     result.clusters = clusters.size();
 
-    if (clusters.size() == 1) {
-        // Flat fabric: one queue, run to quiescence — the original
-        // serial engine, byte for byte.
-        result.eventsExecuted = clusters.front()->sim.run();
-    } else {
-        // Conservative quantum loop: clusters advance independently
-        // to the barrier (clusters only couple through the backbone,
-        // which the coordinator runs between quanta), so any quantum
-        // is safe and serial/parallel execution is byte-identical.
-        std::uint64_t quantum = 0;
-        if (config.syncQuantum.count() > 0.0) {
-            quantum = toTicks(units::Micros(config.syncQuantum));
-        } else {
-            for (const FlowRuntime &rt : flowRuntimes)
-                if (rt.windowTicks > 0 &&
-                    (quantum == 0 || rt.windowTicks < quantum))
-                    quantum = rt.windowTicks;
-            if (quantum == 0)
-                quantum = 1000;
-        }
-        quantum = std::max<std::uint64_t>(quantum, 1);
+    // Conservative quantum loop: clusters advance independently to
+    // the barrier (clusters only couple through the backbone, which
+    // the coordinator runs between quanta), so any quantum is safe
+    // and serial/parallel execution is byte-identical. The flat
+    // fabric is the one-cluster case, whose backbone never has work.
+    // The quantum is the fastest window cadence (1 ms without one).
+    std::uint64_t quantum = 0;
+    for (const FlowRuntime &rt : flowRuntimes)
+        if (rt.windowTicks > 0 &&
+            (quantum == 0 || rt.windowTicks < quantum))
+            quantum = rt.windowTicks;
+    if (quantum == 0)
+        quantum = 1000;
 
-        util::ThreadPool pool(
-            std::min(config.threads ? config.threads
-                                    : util::ThreadPool::defaultThreads(),
-                     clusters.size()));
-        result.ranParallel = pool.width() > 1;
+    util::ThreadPool pool(
+        std::min(config.threads ? config.threads
+                                : util::ThreadPool::defaultThreads(),
+                 clusters.size()));
+    result.ranParallel = pool.width() > 1;
 
-        const auto work_pending = [this] {
-            if (!pendingRounds.empty())
-                return true;
-            for (const std::unique_ptr<Cluster> &cl : clusters)
-                if (cl->sim.pending() > 0 || !cl->outbox.empty())
-                    return true;
-            return false;
-        };
-        std::uint64_t horizon = 0;
-        while (work_pending()) {
-            horizon += quantum;
-            const units::Micros until{
-                static_cast<double>(horizon)};
-            pool.parallelFor(
-                clusters.size(), [this, until](std::size_t c) {
-                    clusters[c]->eventsExecuted +=
-                        clusters[c]->sim.run(until);
-                });
-            processBackbone(horizon);
-        }
+    const auto work_pending = [this] {
+        if (!pendingRounds.empty())
+            return true;
         for (const std::unique_ptr<Cluster> &cl : clusters)
-            result.eventsExecuted += cl->eventsExecuted;
+            if (cl->sim.pending() > 0 || !cl->outbox.empty())
+                return true;
+        return false;
+    };
+    std::uint64_t horizon = 0;
+    while (work_pending()) {
+        horizon += quantum;
+        const units::Micros until{static_cast<double>(horizon)};
+        pool.parallelFor(clusters.size(), [this, until](std::size_t c) {
+            clusters[c]->eventsExecuted += clusters[c]->sim.run(until);
+        });
+        processBackbone(horizon);
     }
+    for (const std::unique_ptr<Cluster> &cl : clusters)
+        result.eventsExecuted += cl->eventsExecuted;
 
     // Merge the per-cluster traces in cluster order, then the
     // coordinator's backbone trace: a fixed order, so the combined
@@ -1595,57 +1481,59 @@ SystemSim::run()
     }
     for (std::size_t c = 0; c < clusters.size(); ++c)
         result.network += eventTrace.counters(Trace::mediumNode(c));
+    // A flat fabric has no backbone medium; its backbone slot holds
+    // only the markers of backbone faults, which are no traffic.
     if (clusters.size() > 1)
-        result.network +=
-            eventTrace.counters(Trace::kBackboneNode);
+        result.network += eventTrace.counters(Trace::kBackboneNode);
 
     mergeClusterStats(result);
 
     for (std::size_t f = 0; f < flowRuntimes.size(); ++f) {
         const FlowRuntime &rt = flowRuntimes[f];
+        const Tally &tally = rt.tally;
         FlowSimStats stats;
         stats.flow = config.flows[f].name;
         stats.windowsSubmitted = rt.submitted;
-        stats.windowsCompleted = rt.completed;
+        stats.windowsCompleted = tally.completed;
         // Node-level drops (halted/crashed nodes, backlog sheds)
         // accumulate on the NodeModels.
         std::size_t dropped = 0;
         for (const std::size_t n : rt.participants)
             dropped += nodes[n].progress(rt.flowOnNode[n]).dropped;
         stats.windowsDropped = dropped;
-        if (rt.completed > 0) {
+        if (tally.completed > 0) {
             stats.meanResponse = units::Micros{
-                static_cast<double>(rt.responseSumUs) /
-                static_cast<double>(rt.completed)};
+                static_cast<double>(tally.responseSumUs) /
+                static_cast<double>(tally.completed)};
             stats.maxResponse = units::Micros{
-                static_cast<double>(rt.maxResponseUs)};
+                static_cast<double>(tally.maxResponseUs)};
         }
-        if (rt.roundCount > 0) {
-            stats.meanRound =
-                units::Micros{static_cast<double>(rt.roundSumUs) /
-                              static_cast<double>(rt.roundCount)};
+        if (tally.roundCount > 0) {
+            stats.meanRound = units::Micros{
+                static_cast<double>(tally.roundSumUs) /
+                static_cast<double>(tally.roundCount)};
             stats.maxRound = units::Micros{
-                static_cast<double>(rt.maxRoundUs)};
+                static_cast<double>(tally.maxRoundUs)};
         }
         stats.analyticResponse =
             units::Micros{rt.analyticResponseUs};
         stats.analyticRound = units::Micros{rt.analyticRoundUs};
-        stats.packetsSent = rt.packetsSent;
-        stats.packetsCorrupted = rt.packetsCorrupted;
-        stats.retransmissions = rt.retransmissions;
-        stats.packetsLost = rt.packetsLost;
+        stats.packetsSent = tally.packetsSent;
+        stats.packetsCorrupted = tally.packetsCorrupted;
+        stats.retransmissions = tally.retransmissions;
+        stats.packetsLost = tally.packetsLost;
         stats.relayForwards = rt.relayForwards;
-        result.packetsLost += rt.packetsLost;
+        result.packetsLost += tally.packetsLost;
         stats.analyticallySustainable = rt.analyticSustainable;
         // Event-driven verdict: everything completed and the response
         // of the last window did not drift from the first (a stage or
         // the medium falling behind the cadence grows the backlog
         // monotonically).
         stats.sustainable =
-            dropped == 0 && rt.completed == rt.submitted &&
-            (rt.completed == 0 ||
-             rt.lastResponseUs <=
-                 rt.firstResponseUs + rt.windowTicks / 2);
+            dropped == 0 && tally.completed == rt.submitted &&
+            (tally.completed == 0 ||
+             tally.lastResponseUs <=
+                 tally.firstResponseUs + rt.windowTicks / 2);
         result.flows.push_back(std::move(stats));
     }
 

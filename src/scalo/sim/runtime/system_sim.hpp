@@ -102,13 +102,6 @@ struct SystemSimConfig
      * only changes wall-clock time. No effect on single-cluster plans.
      */
     std::size_t threads = 0;
-    /**
-     * Cluster-synchronisation quantum (the conservative lookahead):
-     * cluster queues advance this far between backbone barriers.
-     * Zero derives it from the fastest flow window cadence. Must be
-     * identical between runs being compared for trace equality.
-     */
-    units::Millis syncQuantum{0.0};
 };
 
 /** A node declared dead by the heartbeat detector. */
@@ -286,7 +279,18 @@ class SystemSim
     struct Cluster;
     struct RelayPacket;
     struct BackboneRound;
+    struct Link;
 
+    /**
+     * Send one packet of @p bytes from @p source on @p link,
+     * fragmented, each fragment retried with backoff under the
+     * channel conditions at its instant, starting at @p cursor (µs).
+     * @return the cursor after the packet's guard time
+     */
+    double sendPacket(const Link &link, std::size_t flow,
+                      std::size_t source, std::uint8_t destination,
+                      std::size_t bytes, std::uint32_t timestamp,
+                      double cursor);
     void runExchange(Cluster &cluster, std::size_t flow,
                      std::uint64_t window_id);
     void onExchangeDeadline(Cluster &cluster, std::size_t flow,

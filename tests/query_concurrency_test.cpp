@@ -375,6 +375,7 @@ TEST(BucketIndexProperty, CandidatesCoverHashMatches)
 // execution, whose binary-searched time slices assume the rings do
 // not move underneath them.
 
+#if SCALO_CONTRACTS
 struct ContractViolation
 {
 };
@@ -384,6 +385,7 @@ throwingHandler(const char *, const char *, const char *, int)
 {
     throw ContractViolation{};
 }
+#endif
 
 TEST(QueryEngineContracts, IngestDuringExecutionViolatesQuiescence)
 {

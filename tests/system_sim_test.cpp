@@ -49,11 +49,14 @@ sectionSixFlows()
 }
 
 SystemSimConfig
-configFor(const sched::FlowSpec &flow, std::size_t nodes = 4)
+configFor(const sched::FlowSpec &flow, std::size_t nodes = 4,
+          std::size_t clusters = 1)
 {
     sched::SystemConfig system;
     system.nodes = nodes;
     system.maxElectrodesPerNode = constants::kElectrodesPerNode;
+    if (clusters > 1)
+        system.clusters = net::ClusterPlan::balanced(nodes, clusters);
     const sched::Scheduler scheduler(system);
 
     SystemSimConfig config;
@@ -141,26 +144,50 @@ TEST(SystemSimCrossValidation, FacadeDeployThenSimulate)
 
 // Networked flows exercise the BER channel: packets flow, and the
 // hash flow's corrupted packets are retransmitted in extra slots.
+// Cluster media and the backbone send and count through one path, so
+// the identities hold on the flat fabric and on 12 nodes in 3
+// clusters whose backbone runs through a BER spike.
 TEST(SystemSim, NetworkedFlowMovesPackets)
 {
-    SystemSimConfig config =
-        configFor(sched::hashSimilarityFlow(net::Pattern::AllToAll));
-    ASSERT_TRUE(config.schedule.feasible);
-    SystemSim sim(config);
-    const SystemSimResult result = sim.run();
-    const FlowSimStats &stats = result.flows[0];
-    EXPECT_GT(stats.packetsSent, 0u);
-    // Tx and retransmit events land on the sender nodes; the shared
-    // medium records corruptions and accepted receptions.
-    std::uint64_t node_retransmits = 0;
-    for (const NodeSimStats &node : result.nodes)
-        node_retransmits +=
-            node.counters[TraceEventKind::PacketRetransmit];
-    EXPECT_EQ(stats.retransmissions, node_retransmits);
-    EXPECT_EQ(stats.packetsCorrupted,
-              result.network[TraceEventKind::PacketCorrupt]);
-    EXPECT_GT(stats.meanRound.count(), 0.0);
-    EXPECT_GT(result.network[TraceEventKind::ExchangeFinish], 0u);
+    const sched::FlowSpec flow =
+        sched::hashSimilarityFlow(net::Pattern::AllToAll);
+    SystemSimConfig clustered = configFor(flow, 12, 3);
+    clustered.faults.backboneBerSpikes.push_back(
+        {0.0_ms, 400.0_ms, 1e-3});
+    for (const SystemSimConfig &config : {configFor(flow), clustered}) {
+        const std::size_t clusters =
+            config.system.clusters.empty()
+                ? 1
+                : config.system.clusters.clusterCount();
+        SCOPED_TRACE(clusters);
+        ASSERT_TRUE(config.schedule.feasible);
+        SystemSim sim(config);
+        const SystemSimResult result = sim.run();
+        ASSERT_EQ(result.clusters, clusters);
+        const FlowSimStats &stats = result.flows[0];
+        EXPECT_GT(stats.packetsSent, 0u);
+        // Tx and retransmit events land on the sending nodes (relays
+        // on the backbone); the media record corruptions and accepted
+        // receptions.
+        std::uint64_t node_tx = 0;
+        std::uint64_t node_retransmits = 0;
+        for (const NodeSimStats &node : result.nodes) {
+            node_tx += node.counters[TraceEventKind::PacketTx];
+            node_retransmits +=
+                node.counters[TraceEventKind::PacketRetransmit];
+        }
+        EXPECT_EQ(stats.packetsSent, node_tx);
+        EXPECT_EQ(stats.retransmissions, node_retransmits);
+        EXPECT_EQ(stats.packetsCorrupted,
+                  result.network[TraceEventKind::PacketCorrupt]);
+        EXPECT_GT(stats.meanRound.count(), 0.0);
+        EXPECT_GT(result.network[TraceEventKind::ExchangeFinish], 0u);
+        if (clusters > 1) {
+            EXPECT_GT(stats.relayForwards, 0u);
+            EXPECT_GT(result.network[TraceEventKind::BackboneFinish],
+                      0u);
+        }
+    }
 }
 
 // NVM write traffic streams through each node's storage controller.
