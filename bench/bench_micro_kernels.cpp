@@ -311,7 +311,8 @@ BM_IlpSchedulerShaped(benchmark::State &state)
         ilp::Expr objective, network;
         for (int node = 0; node < 8; ++node) {
             const int e = model.addVariable(
-                "e" + std::to_string(node), 0.0, 200.0);
+                std::string("e").append(std::to_string(node)), 0.0,
+                200.0);
             model.addConstraint({{e, 0.08}}, ilp::Relation::LessEq,
                                 12.0);
             objective.push_back({e, 1.0});

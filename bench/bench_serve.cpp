@@ -4,8 +4,9 @@
  * under it (SignalStore::range() and candidates() on a full ring,
  * time-ordered or holding one out-of-order window), compiling a
  * query cold vs. hitting the plan cache, executing a mixed batch
- * through QueryEngine::executeBatch() vs. one query at a time (the
- * cross-query coalescing win), and the end-to-end submit/wait
+ * through QueryEngine::executeBatch() vs. one query at a time (one
+ * pool pass over the node shards for the whole batch instead of one
+ * per query), and the end-to-end submit/wait
  * round-trip through a running QueryServer. Dumped to
  * BENCH_serve.json by ci/check.sh's serve gate and diffed (report
  * only) with ci/compare_bench.py.

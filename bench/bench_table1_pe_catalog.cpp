@@ -25,8 +25,8 @@ main()
         if (pe.latency) {
             latency = TextTable::num(pe.latency->count(), 3);
             if (pe.latencyMax)
-                latency +=
-                    "-" + TextTable::num(pe.latencyMax->count(), 1);
+                latency.append("-").append(
+                    TextTable::num(pe.latencyMax->count(), 1));
         }
         table.addRow({std::string(pe.name), std::string(pe.function),
                       TextTable::num(pe.maxFreq.count(), 3),

@@ -311,7 +311,8 @@ bench_refresh() { # builddir, target, baseline-name, compare args…
 
 gate_bench() {
     # Perf gate: build the microbenches in full Release with the bench
-    # -march (kernel numbers track the machine's best ISA; regenerate
+    # -march and -Werror (a warning only the Release optimiser sees
+    # fails here; kernel numbers track the machine's best ISA; regenerate
     # the baselines when moving boxes — see README). The curated
     # ci/bench_gate.json subset of bench_micro_kernels is enforced —
     # regressions there fail the gate — while the rest, and all of
@@ -319,6 +320,7 @@ gate_bench() {
     local dir="$ROOT/build-ci-bench"
     cmake -S "$ROOT" -B "$dir" \
         -DCMAKE_BUILD_TYPE=Release \
+        -DSCALO_WERROR=ON \
         -DSCALO_MARCH="${SCALO_BENCH_MARCH:-native}" >/dev/null &&
         cmake --build "$dir" -j "$JOBS" \
             --target bench_micro_kernels bench_chaos ||

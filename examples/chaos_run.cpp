@@ -283,7 +283,8 @@ main(int argc, char **argv)
     for (const sim::RescheduleEvent &resched : result.reschedules) {
         std::string dead;
         for (const std::size_t n : resched.deadNodes)
-            dead += (dead.empty() ? "" : ",") + std::to_string(n);
+            dead.append(dead.empty() ? "" : ",")
+                .append(std::to_string(n));
         std::printf("  t=%7.1f ms  reschedule via %s around {%s}: "
                     "throughput %.2f -> %.2f Mbps, peak power "
                     "%.2f -> %.2f mW\n",
@@ -303,8 +304,8 @@ main(int argc, char **argv)
     for (const sim::RestitchEvent &restitch : result.restitches) {
         std::string unreachable;
         for (const std::size_t c : restitch.unreachableClusters)
-            unreachable +=
-                (unreachable.empty() ? "" : ",") + std::to_string(c);
+            unreachable.append(unreachable.empty() ? "" : ",")
+                .append(std::to_string(c));
         std::printf("  t=%7.1f ms  backbone re-stitched via %s "
                     "(unreachable clusters {%s}): throughput "
                     "%.2f -> %.2f Mbps\n",

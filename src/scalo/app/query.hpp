@@ -66,11 +66,12 @@ struct Query
 
     /**
      * Distance used for exact probe confirmation. DTW runs the
-     * banded early-abandon kernel per candidate; Euclidean batches
-     * all surviving candidates through one
-     * signal::euclideanDistanceMany() call (the DTW PE with band = 1
-     * degenerates to Euclidean, so the modeled cost is unchanged).
-     * Only Dtw and Euclidean are valid here.
+     * banded early-abandon kernel per candidate; Euclidean confirms
+     * each node's surviving candidates where they are stored, in one
+     * signal::euclideanDistanceMany() call per node (the DTW PE with
+     * band = 1 degenerates to Euclidean, so the modeled cost is
+     * unchanged). Only Dtw and Euclidean are valid here
+     * (QueryEngine::accepts()).
      */
     signal::Measure confirmMeasure = signal::Measure::Dtw;
 

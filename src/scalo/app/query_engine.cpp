@@ -7,7 +7,6 @@
 #include "scalo/hw/pe.hpp"
 #include "scalo/net/radio.hpp"
 #include "scalo/signal/distance.hpp"
-#include "scalo/signal/window_batch.hpp"
 #include "scalo/util/contracts.hpp"
 #include "scalo/util/logging.hpp"
 
@@ -176,31 +175,36 @@ QueryEngine::store(NodeId node) const
     return stores[node];
 }
 
+bool
+QueryEngine::accepts(const Query &query) const
+{
+    return query.t0Us <= query.t1Us &&
+           (query.probe.empty() ||
+            (query.probe.size() == windowSamples &&
+             (query.confirmMeasure == signal::Measure::Dtw ||
+              query.confirmMeasure == signal::Measure::Euclidean)));
+}
+
 QueryEngine::CompiledQuery
 QueryEngine::compile(const Query &query) const
 {
-    SCALO_ASSERT(query.t0Us <= query.t1Us, "empty time range");
-    const bool templated = !query.probe.empty();
-    if (templated) {
-        SCALO_ASSERT(query.probe.size() == windowSamples,
-                     "probe size mismatch");
-        SCALO_ASSERT(query.confirmMeasure == signal::Measure::Dtw ||
-                         query.confirmMeasure ==
-                             signal::Measure::Euclidean,
-                     "confirm measure must be DTW or Euclidean");
-    }
+    SCALO_ASSERT(accepts(query),
+                 "invalid query: empty time range, probe size "
+                 "mismatch, or confirm measure not DTW/Euclidean");
     CompiledQuery compiled;
     compiled.query = query.normalized();
-    if (templated)
+    if (!query.probe.empty())
         compiled.probeHash = windowHasher.hash(compiled.query.probe);
     return compiled;
 }
 
 QueryEngine::NodePartial
-QueryEngine::gatherNode(NodeId node, const Query &query,
-                        const lsh::Signature &probe_hash) const
+QueryEngine::executeNode(NodeId node,
+                         const CompiledQuery &compiled) const
 {
     const auto started = std::chrono::steady_clock::now();
+    const Query &query = compiled.query;
+    const lsh::Signature &probe_hash = compiled.probeHash;
     const SignalStore &node_store = stores[node];
     NodePartial partial;
     partial.stats.node = node;
@@ -227,11 +231,11 @@ QueryEngine::gatherNode(NodeId node, const Query &query,
         partial.stats.bucketHits = touched.size();
 
     // This shard's scratch: one rolling-row workspace reused across
-    // every DTW confirmation below. Euclidean confirmations are only
-    // collected here — they resolve later through the batched
-    // distance kernel, coalesced across every query in flight on
-    // this node.
+    // every DTW confirmation below. Euclidean candidates are only
+    // collected here and confirmed together afterwards.
     signal::DtwScratch dtw_scratch;
+    std::vector<const StoredWindow *> confirm;
+    std::vector<const std::vector<double> *> confirm_samples;
     for (const StoredWindow *window : touched) {
         if (query.seizureOnly && !window->seizureFlagged)
             continue;
@@ -240,7 +244,8 @@ QueryEngine::gatherNode(NodeId node, const Query &query,
                 !probe_hash.matches(window->hash))
                 continue;
             if (euclidean_confirm) {
-                partial.confirm.push_back(window);
+                confirm.push_back(window);
+                confirm_samples.push_back(&window->samples);
                 continue;
             }
             if (exact) {
@@ -258,29 +263,19 @@ QueryEngine::gatherNode(NodeId node, const Query &query,
         partial.matches.push_back(window);
     }
 
-    partial.stats.wall = elapsed(started);
-    return partial;
-}
-
-void
-QueryEngine::finalizeNode(NodePartial &partial, const Query &query,
-                          const std::vector<double> &confirm_dists,
-                          const SignalStore &node_store) const
-{
-    const auto started = std::chrono::steady_clock::now();
-    const bool templated = !query.probe.empty();
-    const bool exact = templated && query.dtwThreshold >= 0.0;
-
-    if (!partial.confirm.empty()) {
-        // Candidates stayed in timestamp order through the batch, so
-        // appending the survivors keeps the matches list sorted for
-        // the deterministic merge.
-        SCALO_ASSERT(confirm_dists.size() == partial.confirm.size(),
-                     "confirmation batch size mismatch");
-        partial.stats.dtwComparisons += partial.confirm.size();
-        for (std::size_t i = 0; i < partial.confirm.size(); ++i)
-            if (confirm_dists[i] <= query.dtwThreshold)
-                partial.matches.push_back(partial.confirm[i]);
+    if (!confirm.empty()) {
+        // The Euclidean confirm reads every candidate where it is
+        // stored: one blocked kernel sweep, bitwise equal to a
+        // per-candidate euclideanDistanceSquared() plus sqrt.
+        // Candidates are in timestamp order, so the survivors keep
+        // the matches list sorted for the deterministic merge.
+        std::vector<double> dists;
+        signal::euclideanDistanceMany(query.probe, confirm_samples,
+                                      dists);
+        partial.stats.dtwComparisons += confirm.size();
+        for (std::size_t i = 0; i < confirm.size(); ++i)
+            if (dists[i] <= query.dtwThreshold)
+                partial.matches.push_back(confirm[i]);
     }
     partial.stats.matched = partial.matches.size();
 
@@ -294,7 +289,8 @@ QueryEngine::finalizeNode(NodePartial &partial, const Query &query,
     partial.stats.modeled =
         node_store.readCost(partial.stats.scanned) + match;
 
-    partial.stats.wall += elapsed(started);
+    partial.stats.wall = elapsed(started);
+    return partial;
 }
 
 QueryExecution
@@ -445,16 +441,6 @@ QueryEngine::executeBatch(
             (!cluster_down.empty() &&
              cluster_down[plan.clusterOf(node)] != 0);
 
-        // Confirmation candidates are deduplicated (by stored-window
-        // identity) across every query in flight on this node into
-        // one SoA WindowBatch: overlapping candidate sets — the
-        // common case when tenants query the same time range — are
-        // copied once and every job addresses them by row index.
-        std::unordered_map<const StoredWindow *, std::uint32_t>
-            row_of;
-        std::vector<const StoredWindow *> gathered;
-        std::vector<signal::BatchDistanceJob> jobs;
-        std::vector<NodePartial *> job_partials;
         for (std::size_t u = 0; u < unique.size(); ++u) {
             NodePartial &partial = partials[u][node];
             if (down) {
@@ -462,48 +448,8 @@ QueryEngine::executeBatch(
                 partial.stats.answered = false;
                 continue;
             }
-            partial = gatherNode(static_cast<NodeId>(node),
-                                 unique[u]->query,
-                                 unique[u]->probeHash);
-            if (partial.confirm.empty())
-                continue;
-            signal::BatchDistanceJob job;
-            job.query = &unique[u]->query.probe;
-            job.rows.reserve(partial.confirm.size());
-            for (const StoredWindow *window : partial.confirm) {
-                const auto [it, inserted] = row_of.emplace(
-                    window,
-                    static_cast<std::uint32_t>(gathered.size()));
-                if (inserted)
-                    gathered.push_back(window);
-                job.rows.push_back(it->second);
-            }
-            jobs.push_back(std::move(job));
-            job_partials.push_back(&partial);
-        }
-
-        // One coalesced verification sweep for every query on this
-        // node; jobs sharing a probe share one kernel call over the
-        // shared batch.
-        signal::WindowBatch window_batch;
-        SignalStore::gather(gathered, window_batch);
-        signal::euclideanDistanceBatch(window_batch, jobs);
-
-        static const std::vector<double> no_dists;
-        std::size_t job_index = 0;
-        for (std::size_t u = 0; u < unique.size(); ++u) {
-            NodePartial &partial = partials[u][node];
-            if (down || !partial.stats.answered)
-                continue;
-            const bool has_job =
-                job_index < job_partials.size() &&
-                job_partials[job_index] == &partial;
-            finalizeNode(partial, unique[u]->query,
-                         has_job ? jobs[job_index].distances
-                                 : no_dists,
-                         stores[node]);
-            if (has_job)
-                ++job_index;
+            partial = executeNode(static_cast<NodeId>(node),
+                                  *unique[u]);
         }
     });
 
@@ -520,7 +466,7 @@ std::vector<QueryExecution>
 QueryEngine::executeBatch(const std::vector<Query> &queries) const
 {
     // Compile once per distinct descriptor so equivalent queries in
-    // the batch share a plan (and therefore a coalesced kernel call).
+    // the batch share a plan, and so execute once.
     std::vector<std::unique_ptr<CompiledQuery>> compiled;
     std::unordered_map<std::string, std::size_t> by_key;
     std::vector<const CompiledQuery *> batch;

@@ -19,10 +19,9 @@
  * setup from execution — compile() normalizes a descriptor and hashes
  * its probe into an immutable CompiledQuery the serve-layer plan
  * cache shares across submissions — and executes whole batches:
- * executeBatch() gathers candidates for every in-flight query per
- * node shard and coalesces their deferred Euclidean confirmations
- * into one batched distance-kernel sweep, returning results
- * bit-identical to one-at-a-time execution.
+ * executeBatch() fans every distinct plan of the batch out over the
+ * node shards in one pool pass, returning results bit-identical to
+ * one-at-a-time execution.
  */
 
 #pragma once
@@ -193,8 +192,16 @@ class QueryEngine
     };
 
     /**
-     * Validate @p query (range, probe size, confirm measure) and
-     * compile it: normalize the descriptor and hash the probe.
+     * The validity rule for descriptors on this engine: t0Us <= t1Us,
+     * and a probe, if any, has windowSampleCount() samples and a DTW
+     * or Euclidean confirm measure. compile() asserts it; the serving
+     * runtime rejects a submission that fails it as Invalid.
+     */
+    bool accepts(const Query &query) const;
+
+    /**
+     * Compile @p query: normalize the descriptor and hash the probe.
+     * @pre accepts(query)
      */
     CompiledQuery compile(const Query &query) const;
 
@@ -205,16 +212,12 @@ class QueryEngine
     QueryExecution execute(const CompiledQuery &compiled) const;
 
     /**
-     * Execute several queries as one cross-query batch: every node
-     * shard gathers candidates for all queries in one pass,
-     * deduplicates the confirmation candidates of every query on
-     * that node into one SoA signal::WindowBatch (SignalStore
-     * gather), and resolves the deferred Euclidean confirmations
-     * through a single signal::euclideanDistanceBatch() sweep over
-     * it (queries deduplicated onto the same CompiledQuery share
-     * one coalesced kernel call). Results are returned in input
-     * order and are bit-identical to executing each query alone —
-     * batching changes wall-clock, never answers.
+     * Execute several queries as one batch: one pool pass over the
+     * node shards, each shard running every distinct plan of the
+     * batch against its store, with the down-node and down-cluster
+     * flags sampled once for the whole batch. Results are returned
+     * in input order and are bit-identical to executing each query
+     * alone — batching changes wall-clock, never answers.
      *
      * Entries may repeat (the same plan submitted by several
      * tenants); repeated pointers are executed once and the
@@ -293,24 +296,16 @@ class QueryEngine
     {
         std::vector<const StoredWindow *> matches;
         QueryStats stats;
-        /** Candidates awaiting batched Euclidean confirmation. */
-        std::vector<const StoredWindow *> confirm;
     };
 
     /**
-     * Scan/probe one node: fills matches for every path except the
-     * deferred Euclidean confirms, which land in partial.confirm.
+     * Run one plan on one node: scan or bucket-probe the store,
+     * filter, confirm the candidates exactly (DTW per window, or one
+     * batched Euclidean sweep over the stored windows in place), and
+     * close the stats (matched, modeled cost, wall).
      */
-    NodePartial gatherNode(NodeId node, const Query &query,
-                           const lsh::Signature &probe_hash) const;
-
-    /**
-     * Resolve the deferred confirms with their batch-computed
-     * @p confirm_dists and close the stats (matched, modeled cost).
-     */
-    void finalizeNode(NodePartial &partial, const Query &query,
-                      const std::vector<double> &confirm_dists,
-                      const SignalStore &node_store) const;
+    NodePartial executeNode(NodeId node,
+                            const CompiledQuery &compiled) const;
 
     /** Deterministic merge of one query's per-node partials. */
     QueryExecution assemble(const Query &query,

@@ -3,21 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "scalo/signal/window_batch.hpp"
 #include "scalo/util/logging.hpp"
 
 namespace scalo::app {
-
-void
-SignalStore::gather(const std::vector<const StoredWindow *> &windows,
-                    signal::WindowBatch &out)
-{
-    const std::size_t window_size =
-        windows.empty() ? 0 : windows.front()->samples.size();
-    out.reserve(windows.size(), window_size);
-    for (const StoredWindow *window : windows)
-        out.append(window->samples);
-}
 
 SignalStore::SignalStore(std::size_t capacity_windows,
                          bool reorganise_layout)

@@ -35,10 +35,6 @@
 #include "scalo/lsh/signature.hpp"
 #include "scalo/util/types.hpp"
 
-namespace scalo::signal {
-class WindowBatch;
-}
-
 namespace scalo::app {
 
 /** One stored analysis window with its metadata. */
@@ -100,17 +96,6 @@ class SignalStore
     std::vector<const StoredWindow *>
     candidates(const lsh::Signature &probe, std::uint64_t t0_us,
                std::uint64_t t1_us) const;
-
-    /**
-     * Copy @p windows into @p out as one SoA batch: the candidate
-     * gather that feeds the wide verification kernels
-     * (signal::euclideanDistanceBatch over a shared WindowBatch).
-     * Row i of @p out is windows[i]->samples, zero-padded per the
-     * WindowBatch layout contract. All windows must share one size;
-     * an empty list yields an empty batch.
-     */
-    static void gather(const std::vector<const StoredWindow *> &windows,
-                       signal::WindowBatch &out);
 
     /** Stored windows currently retained. */
     std::size_t size() const { return windows.size(); }

@@ -241,6 +241,7 @@ neuralStreamCompress(const std::vector<Sample> &samples)
 
     // Layout: [coded size (4B)] [coded] [extras].
     std::vector<std::uint8_t> out;
+    out.reserve(4 + coded.size() + extra_bytes.size());
     const auto coded_size = static_cast<std::uint32_t>(coded.size());
     for (int i = 3; i >= 0; --i)
         out.push_back(static_cast<std::uint8_t>(

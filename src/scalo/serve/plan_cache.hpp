@@ -6,8 +6,7 @@
  * normalization and the LSH probe hash, and, because every hit hands
  * back the *same* shared object, concurrent submissions of the same
  * query are deduplicated onto one plan — which is what lets the
- * engine's batch executor coalesce their verification work into a
- * single kernel call and run the query once for all of them.
+ * engine's batch executor run the query once for all of them.
  *
  * Thread-safe: all operations take the internal mutex (annotated —
  * the guarded members are compile-time enforced under Clang's

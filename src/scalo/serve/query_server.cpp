@@ -64,13 +64,7 @@ QueryServer::submit(const std::string &tenant,
 {
     // Validate before admission so malformed descriptors are a typed
     // rejection, not a contract violation deep in the engine.
-    const bool templated = !query.probe.empty();
-    const bool valid =
-        query.t0Us <= query.t1Us &&
-        (!templated ||
-         (query.probe.size() == queryEngine.windowSampleCount() &&
-          (query.confirmMeasure == signal::Measure::Dtw ||
-           query.confirmMeasure == signal::Measure::Euclidean)));
+    const bool valid = queryEngine.accepts(query);
 
     TicketPtr ticket;
     {
@@ -183,9 +177,8 @@ QueryServer::executeBatch(std::vector<TicketPtr> &batch)
     for (const TicketPtr &ticket : batch)
         plans.push_back(ticket->plan.get());
 
-    // The cross-query batch: shared plans execute once, every
-    // query's deferred verification runs through one coalesced
-    // kernel sweep per node shard.
+    // The cross-query batch: one fan-out over the node shards, and
+    // shared plans execute once.
     std::vector<app::QueryExecution> executions =
         queryEngine.executeBatch(plans);
 
@@ -249,26 +242,32 @@ QueryServer::runOnce()
     return executeBatch(batch);
 }
 
+std::optional<QueryResponse>
+QueryServer::takeTerminalLocked(TicketId id)
+{
+    const auto it = tickets.find(id);
+    if (it == tickets.end())
+        return QueryResponse{};
+    const TicketPtr &ticket = it->second;
+    if (ticket->state != TicketState::Done &&
+        ticket->state != TicketState::Cancelled)
+        return std::nullopt;
+    QueryResponse response = std::move(ticket->response);
+    tickets.erase(it);
+    return response;
+}
+
 QueryResponse
 QueryServer::poll(TicketId id)
 {
     util::MutexLock lock(mtx);
-    const auto it = tickets.find(id);
-    if (it == tickets.end()) {
-        QueryResponse unknown;
-        return unknown;
-    }
-    const TicketPtr &ticket = it->second;
-    if (ticket->state == TicketState::Done ||
-        ticket->state == TicketState::Cancelled) {
-        QueryResponse response = std::move(ticket->response);
-        tickets.erase(it);
-        return response;
-    }
+    if (std::optional<QueryResponse> terminal = takeTerminalLocked(id))
+        return std::move(*terminal);
+    const Ticket &ticket = *tickets.at(id);
     QueryResponse pending;
-    pending.state = ticket->state;
-    pending.tenant = ticket->tenant;
-    pending.queryClass = ticket->cls;
+    pending.state = ticket.state;
+    pending.tenant = ticket.tenant;
+    pending.queryClass = ticket.cls;
     return pending;
 }
 
@@ -282,32 +281,13 @@ QueryServer::wait(TicketId id, double timeout_ms)
             std::chrono::duration<double, std::milli>(timeout_ms));
     util::MutexLock lock(mtx);
     for (;;) {
-        const auto it = tickets.find(id);
-        if (it == tickets.end()) {
-            QueryResponse unknown;
-            return unknown;
-        }
-        const TicketPtr &ticket = it->second;
-        if (ticket->state == TicketState::Done ||
-            ticket->state == TicketState::Cancelled) {
-            QueryResponse response = std::move(ticket->response);
-            tickets.erase(it);
-            return response;
-        }
+        if (std::optional<QueryResponse> terminal =
+                takeTerminalLocked(id))
+            return terminal;
         if (doneCv.waitUntil(lock, deadline) ==
-            std::cv_status::timeout) {
+            std::cv_status::timeout)
             // One last check: the finish may have raced the clock.
-            const auto again = tickets.find(id);
-            if (again != tickets.end() &&
-                (again->second->state == TicketState::Done ||
-                 again->second->state == TicketState::Cancelled)) {
-                QueryResponse response =
-                    std::move(again->second->response);
-                tickets.erase(again);
-                return response;
-            }
-            return std::nullopt;
-        }
+            return takeTerminalLocked(id);
     }
 }
 

@@ -22,10 +22,10 @@
  *    cache; concurrent identical submissions share one plan, execute
  *    once per batch, and fan the result out.
  *  - **Cross-query batching.** Dispatchers drain up to maxBatch
- *    tickets at a time into QueryEngine::executeBatch(), which
- *    coalesces candidate verification across the batch into the
- *    batched distance kernels. Results are bit-identical to serial
- *    execution.
+ *    tickets at a time into QueryEngine::executeBatch(): one pool
+ *    pass over the node shards for the whole batch, and a plan shared
+ *    by several tickets executes once. Results are bit-identical to
+ *    serial execution.
  *  - **Degradation, not errors.** Node failures (driven by a chaos
  *    plan or the runtime's failure detector through setNodeDown())
  *    turn results partial — Coverage reports answered/total shards —
@@ -71,7 +71,7 @@ enum class SubmitStatus
     Overloaded,
     /** Tenant at its in-flight quota. */
     QuotaExceeded,
-    /** Malformed descriptor (range, probe size, measure). */
+    /** Fails QueryEngine::accepts() (range, probe size, measure). */
     Invalid,
     /** Server stopping; no new work. */
     ShuttingDown,
@@ -169,8 +169,9 @@ class QueryServer
 
     /**
      * Block until @p id is terminal or @p timeout_ms elapses.
-     * @return the terminal response, or nullopt on timeout (the
-     *         ticket stays live — poll or wait again).
+     * @return the terminal response (Unknown for an id that is not
+     *         live), or nullopt on timeout (the ticket stays live —
+     *         poll or wait again).
      */
     std::optional<QueryResponse> wait(TicketId id,
                                       double timeout_ms);
@@ -262,6 +263,13 @@ class QueryServer
         SCALO_EXCLUDES(mtx);
     void finishTicketLocked(const TicketPtr &ticket,
                             TicketState terminal)
+        SCALO_REQUIRES(mtx);
+    /**
+     * Hand out @p id's response once, when it is terminal (Done /
+     * Cancelled), and forget the ticket; an unknown id answers
+     * Unknown. nullopt while the ticket is queued or running.
+     */
+    std::optional<QueryResponse> takeTerminalLocked(TicketId id)
         SCALO_REQUIRES(mtx);
 
     app::QueryEngine &queryEngine;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "scalo/signal/window_batch.hpp"
 #include "scalo/util/logging.hpp"
 #include "scalo/util/simd.hpp"
 
@@ -179,7 +178,7 @@ euclideanDistanceSquared(const double *a, const double *b,
 {
     // One W-lane accumulator over full packs, a scalar tail, then the
     // fixed left-to-right lane reduce: this exact sequence is the
-    // arithmetic contract every batched overload reproduces
+    // arithmetic contract euclideanDistanceMany() reproduces
     // per-candidate, which is what makes batched results bitwise
     // equal to per-pair calls.
     dpack acc = dpack::zero();
@@ -208,36 +207,39 @@ euclideanDistance(const std::vector<double> &a,
                                               a.size()));
 }
 
-namespace {
-
-/**
- * Shared batched-distance core: squared distances from @p q to
- * @p count candidate rows fetched through @p rowAt (an index ->
- * const double* accessor). Eight candidates per pass: the query
- * streams through the cache once per block instead of once per
- * candidate, and the eight W-lane accumulators fill enough
- * independent FMA chains to cover the multiply-add latency (4-5
- * cycles at 2/cycle throughput needs 8+ chains in flight). Every
- * candidate runs the exact accumulation sequence of
- * euclideanDistanceSquared() (same pack loop, same scalar tail, same
- * lane reduce), so results are bitwise equal to per-pair calls
- * whatever the blocking.
- */
-template <typename RowAt>
 void
-distanceManyCore(const double *q, std::size_t n, std::size_t count,
-                 RowAt rowAt, double *out)
+euclideanDistanceMany(
+    const std::vector<double> &query,
+    const std::vector<const std::vector<double> *> &candidates,
+    std::vector<double> &out)
 {
+    out.resize(candidates.size());
+    const double *q = query.data();
+    const std::size_t n = query.size();
+    const std::size_t count = candidates.size();
+    for (std::size_t i = 0; i < count; ++i)
+        SCALO_ASSERT(candidates[i]->size() == n, "candidate ", i,
+                     " has ", candidates[i]->size(),
+                     " samples, query has ", n);
+
+    // Eight candidates per pass: the query streams through the cache
+    // once per block instead of once per candidate, and the eight
+    // W-lane accumulators fill enough independent FMA chains to cover
+    // the multiply-add latency (4-5 cycles at 2/cycle throughput
+    // needs 8+ chains in flight). Every candidate runs the exact
+    // accumulation sequence of euclideanDistanceSquared() (same pack
+    // loop, same scalar tail, same lane reduce), so results are
+    // bitwise equal to per-pair calls whatever the blocking.
     std::size_t i = 0;
     for (; i + 8 <= count; i += 8) {
-        const double *c0 = rowAt(i);
-        const double *c1 = rowAt(i + 1);
-        const double *c2 = rowAt(i + 2);
-        const double *c3 = rowAt(i + 3);
-        const double *c4 = rowAt(i + 4);
-        const double *c5 = rowAt(i + 5);
-        const double *c6 = rowAt(i + 6);
-        const double *c7 = rowAt(i + 7);
+        const double *c0 = candidates[i]->data();
+        const double *c1 = candidates[i + 1]->data();
+        const double *c2 = candidates[i + 2]->data();
+        const double *c3 = candidates[i + 3]->data();
+        const double *c4 = candidates[i + 4]->data();
+        const double *c5 = candidates[i + 5]->data();
+        const double *c6 = candidates[i + 6]->data();
+        const double *c7 = candidates[i + 7]->data();
         dpack s0 = dpack::zero(), s1 = dpack::zero();
         dpack s2 = dpack::zero(), s3 = dpack::zero();
         dpack s4 = dpack::zero(), s5 = dpack::zero();
@@ -279,75 +281,9 @@ distanceManyCore(const double *q, std::size_t n, std::size_t count,
         out[i + 7] = s7.sum() + t7;
     }
     for (; i < count; ++i)
-        out[i] = euclideanDistanceSquared(q, rowAt(i), n);
-}
-
-} // namespace
-
-void
-euclideanDistanceMany(
-    const std::vector<double> &query,
-    const std::vector<const std::vector<double> *> &candidates,
-    std::vector<double> &out)
-{
-    out.resize(candidates.size());
-    const double *q = query.data();
-    const std::size_t n = query.size();
-    const std::size_t count = candidates.size();
-    for (std::size_t i = 0; i < count; ++i)
-        SCALO_ASSERT(candidates[i]->size() == n, "candidate ", i,
-                     " has ", candidates[i]->size(),
-                     " samples, query has ", n);
-
-    distanceManyCore(
-        q, n, count,
-        [&](std::size_t i) { return candidates[i]->data(); },
-        out.data());
+        out[i] = euclideanDistanceSquared(q, candidates[i]->data(), n);
 
     // Deferred sqrt: one tight pass instead of one call per distance.
-    for (double &d : out)
-        d = std::sqrt(d);
-}
-
-void
-euclideanDistanceMany(const std::vector<double> &query,
-                      const WindowBatch &batch,
-                      std::vector<double> &out)
-{
-    SCALO_ASSERT(batch.empty() || batch.windowSize() == query.size(),
-                 "batch windows have ", batch.windowSize(),
-                 " samples, query has ", query.size());
-    out.resize(batch.size());
-    const double *base = batch.data();
-    const std::size_t stride = batch.stride();
-    distanceManyCore(
-        query.data(), query.size(), batch.size(),
-        [&](std::size_t i) { return base + i * stride; },
-        out.data());
-    for (double &d : out)
-        d = std::sqrt(d);
-}
-
-void
-euclideanDistanceMany(const std::vector<double> &query,
-                      const WindowBatch &batch,
-                      const std::vector<std::uint32_t> &rows,
-                      std::vector<double> &out)
-{
-    SCALO_ASSERT(rows.empty() || batch.windowSize() == query.size(),
-                 "batch windows have ", batch.windowSize(),
-                 " samples, query has ", query.size());
-    out.resize(rows.size());
-    const double *base = batch.data();
-    const std::size_t stride = batch.stride();
-    distanceManyCore(
-        query.data(), query.size(), rows.size(),
-        [&](std::size_t i) {
-            SCALO_ASSERT(rows[i] < batch.size(), "batch row ",
-                         rows[i], " out of range ", batch.size());
-            return base + rows[i] * stride;
-        },
-        out.data());
     for (double &d : out)
         d = std::sqrt(d);
 }
@@ -360,90 +296,6 @@ euclideanDistanceMany(
     std::vector<double> out;
     euclideanDistanceMany(query, candidates, out);
     return out;
-}
-
-void
-euclideanDistanceBatch(std::vector<DistanceJob> &jobs)
-{
-    // Group jobs by probe identity, preserving first-seen order.
-    // Every candidate's distance depends only on (probe, candidate) —
-    // the Many kernel accumulates each candidate independently — so
-    // coalescing is purely a call-structure optimisation and the
-    // scattered results match per-job calls bit for bit.
-    std::vector<const std::vector<double> *> coalesced;
-    std::vector<double> dists;
-    std::vector<std::size_t> group;
-    std::vector<char> resolved(jobs.size(), 0);
-    for (std::size_t first = 0; first < jobs.size(); ++first) {
-        if (resolved[first])
-            continue;
-        DistanceJob &lead = jobs[first];
-        SCALO_ASSERT(lead.query != nullptr,
-                     "distance job without a query window");
-        group.clear();
-        coalesced.clear();
-        for (std::size_t j = first; j < jobs.size(); ++j) {
-            if (resolved[j] || jobs[j].query != lead.query)
-                continue;
-            group.push_back(j);
-            coalesced.insert(coalesced.end(),
-                             jobs[j].candidates.begin(),
-                             jobs[j].candidates.end());
-            resolved[j] = 1;
-        }
-        euclideanDistanceMany(*lead.query, coalesced, dists);
-        std::size_t offset = 0;
-        for (const std::size_t j : group) {
-            DistanceJob &job = jobs[j];
-            job.distances.assign(
-                dists.begin() +
-                    static_cast<std::ptrdiff_t>(offset),
-                dists.begin() + static_cast<std::ptrdiff_t>(
-                                    offset + job.candidates.size()));
-            offset += job.candidates.size();
-        }
-    }
-}
-
-void
-euclideanDistanceBatch(const WindowBatch &batch,
-                       std::vector<BatchDistanceJob> &jobs)
-{
-    // Same probe-coalescing structure as the DistanceJob overload,
-    // over row indices into the shared SoA batch instead of window
-    // pointers.
-    std::vector<std::uint32_t> coalesced;
-    std::vector<double> dists;
-    std::vector<std::size_t> group;
-    std::vector<char> resolved(jobs.size(), 0);
-    for (std::size_t first = 0; first < jobs.size(); ++first) {
-        if (resolved[first])
-            continue;
-        BatchDistanceJob &lead = jobs[first];
-        SCALO_ASSERT(lead.query != nullptr,
-                     "distance job without a query window");
-        group.clear();
-        coalesced.clear();
-        for (std::size_t j = first; j < jobs.size(); ++j) {
-            if (resolved[j] || jobs[j].query != lead.query)
-                continue;
-            group.push_back(j);
-            coalesced.insert(coalesced.end(), jobs[j].rows.begin(),
-                             jobs[j].rows.end());
-            resolved[j] = 1;
-        }
-        euclideanDistanceMany(*lead.query, batch, coalesced, dists);
-        std::size_t offset = 0;
-        for (const std::size_t j : group) {
-            BatchDistanceJob &job = jobs[j];
-            job.distances.assign(
-                dists.begin() +
-                    static_cast<std::ptrdiff_t>(offset),
-                dists.begin() + static_cast<std::ptrdiff_t>(
-                                    offset + job.rows.size()));
-            offset += job.rows.size();
-        }
-    }
 }
 
 double

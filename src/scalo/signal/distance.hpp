@@ -10,14 +10,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "scalo/util/aligned.hpp"
 
 namespace scalo::signal {
-
-class WindowBatch;
 
 /**
  * Reusable workspace for the banded DTW kernels: the two rolling DP
@@ -121,80 +118,6 @@ void euclideanDistanceMany(
 std::vector<double> euclideanDistanceMany(
     const std::vector<double> &query,
     const std::vector<const std::vector<double> *> &candidates);
-
-/**
- * Batched Euclidean distance against every row of a SoA batch. Same
- * per-candidate arithmetic as the pointer-list overload (bitwise
- * equal results); the contiguous aligned layout is what lets the
- * kernel stream candidates at full width.
- * @pre batch.windowSize() == query.size()
- */
-void euclideanDistanceMany(const std::vector<double> &query,
-                           const WindowBatch &batch,
-                           std::vector<double> &out);
-
-/**
- * As above over a row subset: @p out[i] is the distance from
- * @p query to batch row @p rows[i]. Row indices may repeat (shared
- * candidates across coalesced queries) and appear in any order.
- */
-void euclideanDistanceMany(const std::vector<double> &query,
-                           const WindowBatch &batch,
-                           const std::vector<std::uint32_t> &rows,
-                           std::vector<double> &out);
-
-/**
- * One unit of deferred candidate verification: a query window and the
- * candidates awaiting an exact Euclidean confirm against it. Filled
- * by the caller, resolved by euclideanDistanceBatch().
- */
-struct DistanceJob
-{
-    /** The probe; must outlive the batch call. */
-    const std::vector<double> *query = nullptr;
-    std::vector<const std::vector<double> *> candidates;
-    /** Output, sized to match candidates by the batch call. */
-    std::vector<double> distances;
-};
-
-/**
- * Cross-query batched verification: resolve every job's distances in
- * one sweep. Jobs sharing the same probe (pointer identity — e.g.
- * concurrent queries deduplicated onto one compiled plan) have their
- * candidate lists coalesced into a single euclideanDistanceMany()
- * call, amortising the probe's cache traffic across all of them.
- * Each candidate's distance is accumulated independently of its
- * position in the coalesced list, so every job's distances are
- * bit-identical to a per-job euclideanDistanceMany() call.
- */
-void euclideanDistanceBatch(std::vector<DistanceJob> &jobs);
-
-/**
- * One unit of deferred verification against a shared SoA batch: the
- * candidates are row indices into a WindowBatch the caller gathered
- * (letting queries with overlapping candidate sets share one copy of
- * each window). Resolved by the batch-consuming
- * euclideanDistanceBatch() overload.
- */
-struct BatchDistanceJob
-{
-    /** The probe; must outlive the batch call. */
-    const std::vector<double> *query = nullptr;
-    std::vector<std::uint32_t> rows;
-    /** Output, sized to match rows by the batch call. */
-    std::vector<double> distances;
-};
-
-/**
- * Cross-query batched verification over one shared SoA batch. Jobs
- * sharing the same probe (pointer identity) have their row lists
- * coalesced into a single kernel sweep, exactly like the
- * DistanceJob overload; per-row distances are independent of their
- * position in the coalesced list, so every job's distances are
- * bitwise identical to a per-job euclideanDistanceMany() call.
- */
-void euclideanDistanceBatch(const WindowBatch &batch,
-                            std::vector<BatchDistanceJob> &jobs);
 
 /**
  * Maximum normalised Pearson cross-correlation over lags in

@@ -40,6 +40,12 @@ FaultPlan::validate(std::size_t nodes, std::size_t clusters) const
         if (crash.reboots())
             SCALO_EXPECTS(crash.rebootAt > crash.at);
     }
+    // One cluster has no backbone: a partition or a backbone BER
+    // spike there would run as a silent no-op.
+    if (clusters == 1) {
+        SCALO_EXPECTS(partitions.empty());
+        SCALO_EXPECTS(backboneBerSpikes.empty());
+    }
     for (const ClusterPartitionFault &partition : partitions) {
         if (clusters > 0)
             SCALO_EXPECTS(partition.cluster < clusters);

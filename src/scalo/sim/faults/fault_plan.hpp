@@ -152,8 +152,10 @@ struct FaultPlan
      * node indices in range, intervals well-formed, probabilities in
      * [0, 1], slowdowns >= 1. When @p clusters is non-zero the
      * cluster-level faults' cluster indices are checked against it
-     * too (callers that know their ClusterPlan pass its count).
-     * Violations trip SCALO_EXPECTS.
+     * too (callers that know their ClusterPlan pass its count), and
+     * a one-cluster system, which has no backbone, must carry no
+     * partitions and no backbone BER spikes. Violations trip
+     * SCALO_EXPECTS.
      */
     void validate(std::size_t nodes, std::size_t clusters = 0) const;
 };

@@ -2,10 +2,10 @@
  * @file
  * Grow-only aligned storage for the wide-kernel layer. The SIMD packs
  * (util/simd.hpp) load fastest from 64-byte-aligned rows, and the hot
- * scratch workspaces (DtwScratch, the FFT split buffers,
- * signal::WindowBatch) must not reallocate across mixed-size call
- * sweeps — a candidate-verification loop touching 96-, 64-, then
- * 128-sample windows should settle on one allocation, not churn.
+ * scratch workspaces (DtwScratch, the FFT split buffers) must not
+ * reallocate across mixed-size call sweeps — a candidate-verification
+ * loop touching 96-, 64-, then 128-sample windows should settle on
+ * one allocation, not churn.
  * std::vector guarantees neither, so this is the storage primitive
  * they share.
  */

@@ -25,8 +25,8 @@
  *
  * Conventions:
  *  - `kLanes` is the default pack width for double kernels;
- *    `paddedSize(n)` rounds a row length up to it (see
- *    signal::WindowBatch for the zero-padding contract).
+ *    `paddedSize(n)` rounds a row length up to it (DtwScratch and
+ *    the FFT plan pad their aligned rows with it).
  *  - `load`/`store` require util::AlignedBuffer::kAlignment-aligned
  *    pointers; `loadu`/`storeu` accept any double-aligned pointer.
  *  - `min`/`max` follow std::min/std::max exactly, including NaN

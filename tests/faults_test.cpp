@@ -345,6 +345,16 @@ TEST(FaultPlanContracts, HierarchicalKindsValidate)
         plan.relayCrashes.push_back({0, 20.0_ms, 10.0_ms});
         EXPECT_THROW(plan.validate(12, 3), ContractViolation);
     }
+    {
+        sim::FaultPlan plan; // partition on a fabric with no backbone
+        plan.partitions.push_back({0, 5.0_ms, 15.0_ms});
+        EXPECT_THROW(plan.validate(4, 1), ContractViolation);
+    }
+    {
+        sim::FaultPlan plan; // backbone spike with no backbone
+        plan.backboneBerSpikes.push_back({0.0_ms, 10.0_ms, 1e-2});
+        EXPECT_THROW(plan.validate(4, 1), ContractViolation);
+    }
 #endif
     sim::FaultPlan ok;
     ok.relayCrashes.push_back({2, 10.0_ms, 20.0_ms});
@@ -352,7 +362,8 @@ TEST(FaultPlanContracts, HierarchicalKindsValidate)
     ok.backboneBerSpikes.push_back({0.0_ms, 10.0_ms, 1e-3});
     ok.validate(12, 3); // must not fire
     // Callers that do not know their cluster plan yet pass 0: the
-    // cluster-range half of the check is deferred, the rest holds.
+    // cluster-range and no-backbone checks are deferred, the rest
+    // holds.
     ok.validate(12);
 }
 

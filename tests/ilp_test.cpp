@@ -400,8 +400,9 @@ randomIlp(std::mt19937_64 &rng)
     std::vector<int> upper(static_cast<std::size_t>(vars));
     for (int v = 0; v < vars; ++v) {
         upper[static_cast<std::size_t>(v)] = pick(0, 6);
-        out.model.addVariable("x" + std::to_string(v), 0.0,
-                              upper[static_cast<std::size_t>(v)], true);
+        out.model.addVariable(std::string("x").append(std::to_string(v)),
+                              0.0, upper[static_cast<std::size_t>(v)],
+                              true);
     }
     const int rows = pick(1, 4);
     for (int r = 0; r < rows; ++r) {

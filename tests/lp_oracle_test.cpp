@@ -106,7 +106,8 @@ randomLp(std::mt19937_64 &rng, Coverage &seen)
             ++seen.finiteUpper;
             break;
         }
-        model.addVariable("x" + std::to_string(v), lower, upper);
+        model.addVariable(std::string("x").append(std::to_string(v)),
+                          lower, upper);
     }
     const int rows = pick(0, 8);
     for (int r = 0; r < rows; ++r) {

@@ -151,8 +151,9 @@ TEST_P(IlpAgainstBruteForce, MatchesEnumeration)
     const int bound = 6;
     std::vector<int> vars;
     for (int v = 0; v < 3; ++v)
-        vars.push_back(model.addVariable("x" + std::to_string(v),
-                                         0.0, bound, true));
+        vars.push_back(model.addVariable(
+            std::string("x").append(std::to_string(v)), 0.0, bound,
+            true));
     std::vector<std::array<double, 4>> rows;
     for (int c = 0; c < 3; ++c) {
         std::array<double, 4> row{};

@@ -8,7 +8,9 @@
  * so both the binary-searched fast path of SignalStore::range() /
  * candidates() and their scan fallback run. Equality is exact: the
  * same match pointers in the same order, the same per-node stats and
- * modelled cost, latency, transfer bytes and coverage.
+ * modelled cost, latency, transfer bytes and coverage. Every store is
+ * drawn at two window lengths: a multiple of the distance kernel's
+ * pack width, and one that leaves a scalar tail.
  */
 
 #include <gtest/gtest.h>
@@ -27,27 +29,29 @@
 namespace scalo::app {
 namespace {
 
-constexpr std::size_t kSamples = 32;
+/** Window lengths: 32 fills whole packs, 37 leaves a scalar tail. */
+constexpr std::size_t kWindowLengths[] = {32, 37};
 constexpr std::size_t kShapes = 3;
 constexpr std::uint64_t kFirstStamp = 1'000;
 
 std::vector<double>
-shapedWindow(std::size_t shape, double noise, Rng &rng)
+shapedWindow(std::size_t samples, std::size_t shape, double noise,
+             Rng &rng)
 {
-    std::vector<double> out(kSamples);
+    std::vector<double> out(samples);
     const double freq = 2.0 + 3.0 * static_cast<double>(shape);
-    for (std::size_t i = 0; i < kSamples; ++i)
+    for (std::size_t i = 0; i < samples; ++i)
         out[i] = std::sin(2.0 * std::numbers::pi * freq *
                           static_cast<double>(i) /
-                          static_cast<double>(kSamples)) +
+                          static_cast<double>(samples)) +
                  rng.gaussian(0.0, noise);
     return out;
 }
 
 std::vector<double>
-noiseWindow(Rng &rng)
+noiseWindow(std::size_t samples, Rng &rng)
 {
-    std::vector<double> out(kSamples);
+    std::vector<double> out(samples);
     for (double &v : out)
         v = rng.gaussian();
     return out;
@@ -73,12 +77,12 @@ struct RandomStores
 };
 
 RandomStores
-randomStores(Rng &rng)
+randomStores(std::size_t samples, Rng &rng)
 {
     RandomStores out;
     const std::size_t nodes = 1 + rng.below(3);
     const std::size_t capacity = 1 + rng.below(64);
-    out.engine = std::make_unique<QueryEngine>(nodes, kSamples, 7,
+    out.engine = std::make_unique<QueryEngine>(nodes, samples, 7,
                                                capacity);
     out.engine->setParallelism(1 + rng.below(3));
     const auto order = static_cast<Order>(rng.below(3));
@@ -112,9 +116,10 @@ randomStores(Rng &rng)
             }
             window.electrode = static_cast<ElectrodeId>(rng.below(4));
             const bool shaped = rng.uniform() < 0.4;
-            window.samples = shaped ? shapedWindow(rng.below(kShapes),
-                                                   0.05, rng)
-                                    : noiseWindow(rng);
+            window.samples =
+                shaped ? shapedWindow(samples, rng.below(kShapes), 0.05,
+                                      rng)
+                       : noiseWindow(samples, rng);
             window.seizureFlagged =
                 rng.uniform() < (shaped ? 0.6 : 0.05);
             out.stamps.push_back(window.timestampUs);
@@ -172,10 +177,11 @@ randomQuery(Rng &rng, const RandomStores &stores)
       }
     }
 
-    std::vector<double> probe = rng.uniform() < 0.8
-                                    ? shapedWindow(rng.below(kShapes),
-                                                   0.05, rng)
-                                    : noiseWindow(rng);
+    const std::size_t samples = stores.engine->windowSampleCount();
+    std::vector<double> probe =
+        rng.uniform() < 0.8
+            ? shapedWindow(samples, rng.below(kShapes), 0.05, rng)
+            : noiseWindow(samples, rng);
     switch (rng.below(7)) {
       case 0: // Q1
         query.seizureOnly = true;
@@ -263,60 +269,71 @@ TEST(QueryOracle, EngineEqualsNaiveExecutorOnRandomStores)
     constexpr std::uint64_t kStores = 240;
     constexpr std::size_t kQueriesPerStore = 14;
 
-    // What the random draw covered, so a narrowed generator fails
-    // here instead of passing vacuously.
-    std::size_t ordered_stores = 0, disordered_stores = 0;
-    std::size_t evicted_stores = 0, indexed_queries = 0;
-    std::size_t bucket_hits = 0, probe_matches = 0, confirmed = 0;
+    for (const std::size_t samples : kWindowLengths) {
+        SCOPED_TRACE("window length " + std::to_string(samples));
+        // What the random draw covered, so a narrowed generator fails
+        // here instead of passing vacuously.
+        std::size_t ordered_stores = 0, disordered_stores = 0;
+        std::size_t evicted_stores = 0, indexed_queries = 0;
+        std::size_t bucket_hits = 0, probe_matches = 0, confirmed = 0;
+        std::size_t euclidean_confirmed = 0;
 
-    for (std::uint64_t seed = 0; seed < kStores; ++seed) {
-        Rng rng(0x0dac1e00 + seed);
-        const RandomStores stores = randomStores(rng);
-        const QueryEngine &engine = *stores.engine;
-        for (NodeId node = 0; node < engine.nodeCount(); ++node) {
-            const SignalStore &store = engine.store(node);
-            ++(store.timeOrdered() ? ordered_stores : disordered_stores);
-            evicted_stores += store.overwritten() > 0 ? 1 : 0;
+        for (std::uint64_t seed = 0; seed < kStores; ++seed) {
+            Rng rng(0x0dac1e00 + seed);
+            const RandomStores stores = randomStores(samples, rng);
+            const QueryEngine &engine = *stores.engine;
+            for (NodeId node = 0; node < engine.nodeCount(); ++node) {
+                const SignalStore &store = engine.store(node);
+                ++(store.timeOrdered() ? ordered_stores
+                                       : disordered_stores);
+                evicted_stores += store.overwritten() > 0 ? 1 : 0;
+            }
+
+            std::vector<Query> queries;
+            for (std::size_t q = 0; q < kQueriesPerStore; ++q)
+                queries.push_back(randomQuery(rng, stores));
+            // A repeat, so the batch path also deduplicates a plan.
+            queries.push_back(queries.front());
+
+            const std::vector<QueryExecution> batched =
+                engine.executeBatch(queries);
+            ASSERT_EQ(batched.size(), queries.size());
+            for (std::size_t q = 0; q < queries.size(); ++q) {
+                const Query &query = queries[q];
+                const std::string where =
+                    "seed " + std::to_string(seed) + " query " +
+                    std::to_string(q);
+                const QueryExecution want = naive::execute(engine, query);
+                expectSameExecution(engine.execute(query), want, where);
+                expectSameExecution(batched[q], want,
+                                    where + " (batch)");
+                if (::testing::Test::HasFatalFailure())
+                    return;
+
+                if (!query.probe.empty()) {
+                    probe_matches += want.matches.size();
+                    if (query.hashPrefilter && query.useIndex)
+                        ++indexed_queries;
+                }
+                for (const QueryStats &stats : want.perNode) {
+                    bucket_hits += stats.bucketHits;
+                    confirmed += stats.dtwComparisons;
+                    if (query.confirmMeasure ==
+                        signal::Measure::Euclidean)
+                        euclidean_confirmed += stats.dtwComparisons;
+                }
+            }
         }
 
-        std::vector<Query> queries;
-        for (std::size_t q = 0; q < kQueriesPerStore; ++q)
-            queries.push_back(randomQuery(rng, stores));
-        // A repeat, so the batch path also deduplicates a plan.
-        queries.push_back(queries.front());
-
-        const std::vector<QueryExecution> batched =
-            engine.executeBatch(queries);
-        ASSERT_EQ(batched.size(), queries.size());
-        for (std::size_t q = 0; q < queries.size(); ++q) {
-            const Query &query = queries[q];
-            const std::string where = "seed " + std::to_string(seed) +
-                                      " query " + std::to_string(q);
-            const QueryExecution want = naive::execute(engine, query);
-            expectSameExecution(engine.execute(query), want, where);
-            expectSameExecution(batched[q], want, where + " (batch)");
-            if (::testing::Test::HasFatalFailure())
-                return;
-
-            if (!query.probe.empty()) {
-                probe_matches += want.matches.size();
-                if (query.hashPrefilter && query.useIndex)
-                    ++indexed_queries;
-            }
-            for (const QueryStats &stats : want.perNode) {
-                bucket_hits += stats.bucketHits;
-                confirmed += stats.dtwComparisons;
-            }
-        }
+        EXPECT_GT(ordered_stores, 100u);
+        EXPECT_GT(disordered_stores, 100u);
+        EXPECT_GT(evicted_stores, 100u);
+        EXPECT_GT(indexed_queries, 200u);
+        EXPECT_GT(bucket_hits, 0u);
+        EXPECT_GT(probe_matches, 0u);
+        EXPECT_GT(confirmed, 0u);
+        EXPECT_GT(euclidean_confirmed, 0u);
     }
-
-    EXPECT_GT(ordered_stores, 100u);
-    EXPECT_GT(disordered_stores, 100u);
-    EXPECT_GT(evicted_stores, 100u);
-    EXPECT_GT(indexed_queries, 200u);
-    EXPECT_GT(bucket_hits, 0u);
-    EXPECT_GT(probe_matches, 0u);
-    EXPECT_GT(confirmed, 0u);
 }
 
 } // namespace

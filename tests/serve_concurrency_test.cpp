@@ -142,7 +142,8 @@ TEST(QueryServerConcurrency, SubmitPollCancelRaces)
         clients.emplace_back([&, c] {
             for (std::size_t i = 0; i < kPerClient; ++i) {
                 const auto submit = server.submit(
-                    "t" + std::to_string(c), mixedQuery(i));
+                    std::string("t").append(std::to_string(c)),
+                    mixedQuery(i));
                 if (!submit.accepted())
                     continue;
                 if (i % 3 == 0)
@@ -200,7 +201,8 @@ TEST(QueryServerConcurrency, ServingWhileChaosFlipsNodes)
         clients.emplace_back([&, c] {
             for (std::size_t i = 0; i < 60; ++i) {
                 const auto submit = server.submit(
-                    "t" + std::to_string(c), mixedQuery(i));
+                    std::string("t").append(std::to_string(c)),
+                    mixedQuery(i));
                 if (!submit.accepted())
                     continue;
                 const auto response =

@@ -7,9 +7,9 @@
  * parity check. Coverage: pack semantics (including NaN ordering and
  * signed zero), kernels vs. the naive references across odd lengths
  * and remainder lanes (N % W != 0), empty inputs, NaN/denormal
- * payloads, batched-equals-per-pair bitwise guarantees, WindowBatch
- * layout, DtwScratch reallocation churn, batched hashing, and the
- * QueryEngine batch path vs. serial execution.
+ * payloads, batched-equals-per-pair bitwise guarantees, DtwScratch
+ * reallocation churn, batched hashing, and the QueryEngine batch path
+ * vs. serial execution.
  */
 
 #include <cmath>
@@ -27,7 +27,6 @@
 #include "scalo/lsh/ssh.hpp"
 #include "scalo/signal/distance.hpp"
 #include "scalo/signal/reference.hpp"
-#include "scalo/signal/window_batch.hpp"
 #include "scalo/util/aligned.hpp"
 #include "scalo/util/rng.hpp"
 #include "scalo/util/simd.hpp"
@@ -231,128 +230,6 @@ TEST(EuclideanParity, PropagatesNansAndSurvivesDenormals)
     const double d = scalo::signal::euclideanDistance(tiny, zeros);
     EXPECT_GE(d, 0.0);
     EXPECT_TRUE(std::isfinite(d));
-}
-
-TEST(WindowBatchLayout, RowsAreAlignedPaddedAndZeroFilled)
-{
-    using scalo::signal::WindowBatch;
-    Rng rng(9003);
-    for (const std::size_t n : kAwkwardLengths) {
-        WindowBatch batch;
-        batch.reserve(3, n);
-        EXPECT_EQ(batch.stride(), WindowBatch::strideFor(n));
-        EXPECT_GE(batch.stride(), n);
-        EXPECT_EQ(batch.stride() % kLanes, 0u) << "n=" << n;
-        EXPECT_EQ(batch.stride() * sizeof(double) % 64, 0u);
-
-        std::vector<std::vector<double>> rows;
-        for (int i = 0; i < 3; ++i) {
-            rows.push_back(randomSignal(rng, n));
-            batch.append(rows.back());
-        }
-        ASSERT_EQ(batch.size(), 3u);
-        for (std::size_t r = 0; r < 3; ++r) {
-            const double *row = batch.row(r);
-            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(row) % 64, 0u);
-            for (std::size_t j = 0; j < n; ++j)
-                EXPECT_EQ(row[j], rows[r][j]);
-            for (std::size_t j = n; j < batch.stride(); ++j) {
-                EXPECT_EQ(row[j], 0.0);
-                EXPECT_FALSE(std::signbit(row[j]));
-            }
-        }
-    }
-}
-
-TEST(WindowBatchLayout, ReuseAcrossSweepsIsAllocationFree)
-{
-    using scalo::signal::WindowBatch;
-    Rng rng(9004);
-    WindowBatch batch;
-    // Largest extent first: every following reshape fits in place.
-    batch.reserve(16, 96);
-    const std::size_t peak = batch.capacityBytes();
-    for (const std::size_t n : {64u, 96u, 16u, 96u}) {
-        batch.reserve(8, n);
-        for (int i = 0; i < 8; ++i)
-            batch.append(randomSignal(rng, n));
-        EXPECT_EQ(batch.capacityBytes(), peak) << "n=" << n;
-    }
-}
-
-TEST(WindowBatchDistance, BatchOverloadsMatchPointerOverloadBitwise)
-{
-    using scalo::signal::WindowBatch;
-    Rng rng(9005);
-    for (const std::size_t n : kAwkwardLengths) {
-        const auto query = randomSignal(rng, n);
-        std::vector<std::vector<double>> storage;
-        for (int i = 0; i < 9; ++i)
-            storage.push_back(randomSignal(rng, n));
-        std::vector<const std::vector<double> *> candidates;
-        for (const auto &c : storage)
-            candidates.push_back(&c);
-
-        WindowBatch batch;
-        batch.reserve(storage.size(), n);
-        for (const auto &c : storage)
-            batch.append(c);
-
-        const auto want =
-            scalo::signal::euclideanDistanceMany(query, candidates);
-
-        std::vector<double> got;
-        scalo::signal::euclideanDistanceMany(query, batch, got);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < want.size(); ++i)
-            EXPECT_EQ(got[i], want[i]) << "n=" << n << " i=" << i;
-
-        // Row-subset overload, with repeats and shuffled order.
-        const std::vector<std::uint32_t> rows{7, 0, 7, 3, 8, 1, 1};
-        std::vector<double> subset;
-        scalo::signal::euclideanDistanceMany(query, batch, rows,
-                                             subset);
-        ASSERT_EQ(subset.size(), rows.size());
-        for (std::size_t i = 0; i < rows.size(); ++i)
-            EXPECT_EQ(subset[i], want[rows[i]])
-                << "n=" << n << " i=" << i;
-    }
-}
-
-TEST(WindowBatchDistance, BatchJobsMatchPerJobCalls)
-{
-    using scalo::signal::BatchDistanceJob;
-    using scalo::signal::WindowBatch;
-    Rng rng(9006);
-    const std::size_t n = 37;
-    const auto probe_a = randomSignal(rng, n);
-    const auto probe_b = randomSignal(rng, n);
-    WindowBatch batch;
-    batch.reserve(6, n);
-    std::vector<std::vector<double>> storage;
-    for (int i = 0; i < 6; ++i) {
-        storage.push_back(randomSignal(rng, n));
-        batch.append(storage.back());
-    }
-
-    // Three jobs, two sharing probe_a (coalesced into one sweep).
-    std::vector<BatchDistanceJob> jobs(3);
-    jobs[0].query = &probe_a;
-    jobs[0].rows = {0, 2, 4};
-    jobs[1].query = &probe_b;
-    jobs[1].rows = {1, 1, 5};
-    jobs[2].query = &probe_a;
-    jobs[2].rows = {3, 0};
-    scalo::signal::euclideanDistanceBatch(batch, jobs);
-
-    for (const BatchDistanceJob &job : jobs) {
-        ASSERT_EQ(job.distances.size(), job.rows.size());
-        std::vector<double> want;
-        scalo::signal::euclideanDistanceMany(*job.query, batch,
-                                             job.rows, want);
-        for (std::size_t i = 0; i < want.size(); ++i)
-            EXPECT_EQ(job.distances[i], want[i]);
-    }
 }
 
 TEST(DtwParity, VectorizedBandMatchesNaiveAcrossShapes)
@@ -574,9 +451,9 @@ TEST(QueryBatchPath, ExecuteBatchMatchesSerialExecution)
                       false);
     }
 
-    // Euclidean-confirm queries drive the WindowBatch verification
-    // path; overlapping time ranges give the per-node batches shared
-    // candidates to deduplicate.
+    // Euclidean-confirm queries drive the batched confirm kernel over
+    // the stored windows; overlapping time ranges put every query's
+    // candidates on every node shard of the batch.
     std::vector<scalo::app::Query> queries;
     for (int p = 0; p < 3; ++p) {
         scalo::app::Query query;
